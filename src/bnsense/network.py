@@ -21,7 +21,6 @@ anything worse is rejected with the offending variable and row index named.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateParameterError, ImpossibleEvidenceError, NetworkFormatError
 
-ROW_SUM_TOLERANCE = 1e-6
+ROW_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -359,6 +358,24 @@ def format_parameter(net: Network, ref: ParameterRef) -> str:
 # evidence
 
 
+def check_finding(net: Network, var: int, vector) -> np.ndarray:
+    """The vector as a float array, if it is a valid finding for the variable.
+
+    A finding needs one finite, nonnegative entry per state and at least one
+    positive entry; an all-zero vector is impossible evidence.
+    """
+    vec = np.asarray(vector, dtype=float)
+    name = net.variables[var].name
+    if vec.shape != (net.arity(var),):
+        raise NetworkFormatError(
+            f"finding for {name!r} has length {vec.size}, expected {net.arity(var)}")
+    if np.any(vec < 0) or not np.all(np.isfinite(vec)):
+        raise NetworkFormatError(f"finding for {name!r} must be finite and nonnegative")
+    if not np.any(vec > 0):
+        raise ImpossibleEvidenceError(f"finding for {name!r} is all-zero")
+    return vec
+
+
 class Evidence:
     """Per-variable likelihood vectors (findings).
 
@@ -396,18 +413,7 @@ class Evidence:
 
     def set_likelihood(self, var, vector) -> "Evidence":
         v = self._resolve(var)
-        vec = np.asarray(vector, dtype=float)
-        if vec.shape != (self.net.arity(v),):
-            raise NetworkFormatError(
-                f"finding for {self.net.variables[v].name!r} has length {vec.size}, "
-                f"expected {self.net.arity(v)}")
-        if np.any(vec < 0) or not np.all(np.isfinite(vec)):
-            raise NetworkFormatError(
-                f"finding for {self.net.variables[v].name!r} must be finite and nonnegative")
-        if not np.any(vec > 0):
-            raise ImpossibleEvidenceError(
-                f"finding for {self.net.variables[v].name!r} is all-zero")
-        self._findings[v] = vec
+        self._findings[v] = check_finding(self.net, v, vector)
         return self
 
     def remove(self, var) -> "Evidence":
@@ -436,9 +442,3 @@ class QueryRef:
 
     variable: int
     state: int
-
-
-def all_assignments(net: Network, subset: tuple[int, ...] | None = None):
-    """Iterate over joint state-index tuples of the given variables (all by default)."""
-    order = subset if subset is not None else tuple(range(net.n_variables))
-    return itertools.product(*(range(net.arity(v)) for v in order))

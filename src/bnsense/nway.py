@@ -78,6 +78,11 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def _on_axis(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """A vector shaped to broadcast along one axis of an ndim-axis table."""
+    return vec.reshape(tuple(-1 if k == axis else 1 for k in range(ndim)))
+
+
 def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
                      evidence: Evidence | None = None) -> MultilinearFunction:
     """All 2^n coefficients from one propagation, read off one clique.
@@ -103,35 +108,42 @@ def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
     pot = tree.clique_potential(home)
     scale = _component_scales(tree)[tree.component_of[home]]
 
-    members = pot.vars
-    pos = {v: k for k, v in enumerate(members)}
-    values = [net.parameter_value(ref) for ref in params]
-    checks = []  # per param: (positions of parents, their required states, pos of var, state)
-    for ref in params:
-        par = net.parents[ref.variable]
-        checks.append((tuple(pos[p] for p in par), ref.parent_config,
-                       pos[ref.variable], ref.state))
-
+    # Classify every entry at once.  Per parameter, an entry is outside its
+    # context (digit 0), matches the designated state (1) or disagrees with
+    # it (2); the entry's weight is its mass with the held row values divided
+    # out, in parameter order.  Entries with equal digits expand alike, so
+    # they are summed first and only the at most 3^n groups are expanded.
+    table = pot.table
+    axis = {v: k for k, v in enumerate(pot.vars)}
     n = len(params)
+    digits = np.zeros((1,) * table.ndim, dtype=np.int64)
+    weight = table
+    for i, ref in enumerate(params):
+        context = np.ones((1,) * table.ndim, dtype=bool)
+        for p, s in zip(net.parents[ref.variable], ref.parent_config):
+            context = context & _on_axis(np.arange(net.arity(p)) == s, axis[p], table.ndim)
+        held = _on_axis(np.arange(net.arity(ref.variable)) == ref.state,
+                        axis[ref.variable], table.ndim)
+        value = net.parameter_value(ref)
+        digits = digits + 3 ** i * np.where(context, np.where(held, 1, 2), 0)
+        # a matched entry of a zero parameter has zero mass: divide it by 1, not 0
+        weight = weight / np.where(context, np.where(held, value or 1.0, 1.0 - value), 1.0)
+
+    digits = np.broadcast_to(digits, table.shape).ravel()
+    sums = np.bincount(digits, weights=weight.ravel(), minlength=3 ** n)
     coeffs = {mask: 0.0 for mask in range(1 << n)}
-    for idx, mass in np.ndenumerate(pot.table):
-        if mass == 0.0:
-            continue
-        matched = 0
-        disagreeing = 0
-        weight = float(mass)
-        for i, (ppos, pcfg, vpos, state) in enumerate(checks):
-            if any(idx[k] != s for k, s in zip(ppos, pcfg)):
-                continue  # context does not hold; entry is constant in this parameter
-            if idx[vpos] == state:
+    for group in np.flatnonzero(sums):
+        matched = disagreeing = 0
+        code = int(group)
+        for i in range(n):
+            code, digit = divmod(code, 3)
+            if digit == 1:
                 matched |= 1 << i
-                weight /= values[i]
-            else:
+            elif digit == 2:
                 disagreeing |= 1 << i
-                weight /= (1.0 - values[i])
         for sub in _submasks(disagreeing):
             sign = -1.0 if bin(sub).count("1") % 2 else 1.0
-            coeffs[matched | sub] += sign * weight
+            coeffs[matched | sub] += sign * float(sums[group])
 
     return MultilinearFunction(tuple(params), {m: c * scale for m, c in coeffs.items()})
 

@@ -5,9 +5,9 @@ proportional co-variation, is a quotient of two lines.  Both lines are read
 off clique potentials:
 
 * the *local-extraction* route computes a line's slope and intercept directly
-  from the parameter's family-clique potential (one potential read per
-  parameter, after one inward and at most two outward propagations for every
-  parameter at once);
+  from the parameter's family-clique potential summed onto its family (one
+  contraction per variable, after one inward and at most two outward
+  propagations for every parameter at once);
 * the *two-point* route propagates at a second parameter value and fits the
   line through the two evaluations (used when all posteriors for one
   parameter are wanted).
@@ -134,11 +134,18 @@ def relevant_parameters(net: Network, query: QueryRef,
 # local extraction of line coefficients from clique potentials
 
 
-def _row_mass_by_state(tree: JunctionTree, pot: Potential, var: int,
+def _family_marginal(tree: JunctionTree, var: int,
+                     cache: dict[int, Potential]) -> Potential:
+    """The family clique's current product summed onto the variable's family."""
+    marg = cache.get(var)
+    if marg is None:
+        marg = cache[var] = tree.local_product(tree.family_clique[var], tree.net.family(var))
+    return marg
+
+
+def _row_mass_by_state(tree: JunctionTree, marg: Potential, var: int,
                        parent_config: tuple[int, ...]) -> np.ndarray:
-    """Sum of a clique potential over everything but the family, at one parent row."""
-    fam = tree.net.family(var)
-    marg = pot.marginalize(fam)
+    """A family marginal's masses at one parent row, one per state of the variable."""
     assign = dict(zip(tree.net.parents[var], parent_config))
     idx = tuple(slice(None) if v == var else assign[v] for v in marg.vars)
     return np.asarray(marg.table[idx], dtype=float)
@@ -161,7 +168,8 @@ def _extract_lines(tree: JunctionTree, params: list[ParameterRef]):
     """Line coefficients of the tree's current total mass in each parameter.
 
     Requires a consistent tree.  For parameter p(b_i | pi) of variable B with
-    family clique K, the potential rows at (B, pi) split the clique total into
+    family clique K, the rows at (B, pi) of K's potential summed onto B's
+    family split the clique total into
     the part carrying the parameter, the part co-varying with it, and the
     rest; slope and intercept follow by dividing out the current row values.
     Degenerate parameters (value 1) are reported, not silently dropped.
@@ -169,24 +177,21 @@ def _extract_lines(tree: JunctionTree, params: list[ParameterRef]):
     lines: dict[ParameterRef, LinearCoeffs] = {}
     skipped: list[tuple[ParameterRef, str]] = []
     scales = _component_scales(tree)
-    pot_cache: dict[int, Potential] = {}
+    cache: dict[int, Potential] = {}
     for ref in params:
         value = tree.net.parameter_value(ref)
         if value >= 1.0:
             skipped.append((ref, "parameter value is 1; co-variation undefined"))
             continue
-        cid = tree.family_clique[ref.variable]
-        pot = pot_cache.get(cid)
-        if pot is None:
-            pot = pot_cache[cid] = tree.clique_potential(cid)
-        mass = _row_mass_by_state(tree, pot, ref.variable, ref.parent_config)
-        total = pot.total()
+        marg = _family_marginal(tree, ref.variable, cache)
+        mass = _row_mass_by_state(tree, marg, ref.variable, ref.parent_config)
+        total = marg.total()
         held = float(mass[ref.state])
         covaried = float(mass.sum()) - held
         rest = total - held - covaried
         direct = held / value if value > 0 else 0.0  # 0/0 := 0 (mass vanishes with value)
         shrink = covaried / (1.0 - value)
-        scale = scales[tree.component_of[cid]]
+        scale = scales[tree.component_of[tree.family_clique[ref.variable]]]
         lines[ref] = LinearCoeffs((direct - shrink) * scale, (shrink + rest) * scale)
     return lines, skipped
 
@@ -271,6 +276,11 @@ def one_output_all_params_m2(tree: JunctionTree, query: QueryRef,
     return OneWayAnalysis(query, functions, skipped)
 
 
+def _line_through(x1: float, y1: float, x2: float, y2: float) -> LinearCoeffs:
+    """The line through (x1, y1) and (x2, y2)."""
+    return LinearCoeffs((y1 - y2) / (x1 - x2), (x1 * y2 - x2 * y1) / (x1 - x2))
+
+
 def _second_value(x1: float) -> float:
     return (x1 + 1.0) / 2.0 if x1 < 0.5 else x1 / 2.0
 
@@ -278,14 +288,14 @@ def _second_value(x1: float) -> float:
 def _two_point_lines(tree: JunctionTree, params: list[ParameterRef]):
     """Lines of the tree's current mass in each parameter via row reweighting.
 
-    The clique potential carries the current row values; multiplying its
+    The family marginal carries the current row values; multiplying its
     (B, pi) slices by covaried-row / current-row ratios evaluates the mass at
     a second parameter value without touching the tree.
     """
     lines: dict[ParameterRef, LinearCoeffs] = {}
     skipped: list[tuple[ParameterRef, str]] = []
     scales = _component_scales(tree)
-    pot_cache: dict[int, Potential] = {}
+    cache: dict[int, Potential] = {}
     mass_total = 1.0
     for comp in tree.component_roots:
         mass_total *= tree.component_mass[comp]
@@ -295,20 +305,15 @@ def _two_point_lines(tree: JunctionTree, params: list[ParameterRef]):
             skipped.append((ref, "parameter value is 1; co-variation undefined"))
             continue
         x2 = _second_value(x1)
-        cid = tree.family_clique[ref.variable]
-        pot = pot_cache.get(cid)
-        if pot is None:
-            pot = pot_cache[cid] = tree.clique_potential(cid)
-        mass = _row_mass_by_state(tree, pot, ref.variable, ref.parent_config)
+        marg = _family_marginal(tree, ref.variable, cache)
+        mass = _row_mass_by_state(tree, marg, ref.variable, ref.parent_config)
         row1 = tree.net.row(ref.variable, ref.parent_config)
         row2 = covary_row(row1, ref.state, x2)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(row1 > 0, row2 / np.where(row1 > 0, row1, 1.0), 0.0)
-        reweighted = float((mass * ratio).sum()) + (pot.total() - float(mass.sum()))
-        scale = scales[tree.component_of[cid]]
-        y1 = mass_total
-        y2 = reweighted * scale
-        lines[ref] = LinearCoeffs((y1 - y2) / (x1 - x2), (x1 * y2 - x2 * y1) / (x1 - x2))
+        reweighted = float((mass * ratio).sum()) + (marg.total() - float(mass.sum()))
+        scale = scales[tree.component_of[tree.family_clique[ref.variable]]]
+        lines[ref] = _line_through(x1, mass_total, x2, reweighted * scale)
     return lines, skipped
 
 
@@ -343,13 +348,11 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     second = {var: marginal(tree, var).copy() for var in targets}
     pe2 = evidence_probability(tree)
 
-    def two_point(y1: float, y2: float) -> LinearCoeffs:
-        return LinearCoeffs((y1 - y2) / (x1 - x2), (x1 * y2 - x2 * y1) / (x1 - x2))
-
-    den = two_point(pe1, pe2)
+    den = _line_through(x1, pe1, x2, pe2)
     functions = {
         var: tuple(
-            SensitivityFunction(ref, two_point(float(first[var][s]), float(second[var][s])), den)
+            SensitivityFunction(
+                ref, _line_through(x1, float(first[var][s]), x2, float(second[var][s])), den)
             for s in range(tree.net.arity(var)))
         for var in targets
     }

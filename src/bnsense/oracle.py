@@ -175,11 +175,6 @@ def random_evidence(rng: np.random.Generator, net: Network,
     return ev
 
 
-def random_parameter(rng: np.random.Generator, net: Network) -> ParameterRef:
-    params = enumerate_parameters(net)
-    return params[int(rng.integers(len(params)))]
-
-
 def random_independent_parameters(rng: np.random.Generator, net: Network, n: int,
                                   within_vars: tuple[int, ...] | None = None,
                                   tries: int = 200) -> list[ParameterRef] | None:

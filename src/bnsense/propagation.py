@@ -1,15 +1,18 @@
 """Message passing on a junction tree: collect, distribute, marginals, retraction.
 
 Messages are directed: each sepset stores one potential per direction.  A
-message out of a clique is the marginal, onto the sepset, of the clique's
-charge times its attached finding vectors times the messages it received from
-its *other* neighbors.  This is algebraically the classical flow (marginalize,
-divide by the old sepset content, multiply into the receiver) with the
-division cancelled symbolically — which is exactly what lets a replayed
-outward pass retract a hard finding without dividing by zeros it created.
+message out of a clique is the product of the clique's assigned CPTs, its
+attached finding vectors and the messages it received from its *other*
+neighbors, summed onto the sepset in one contraction
+(`JunctionTree.local_product`) that never builds the clique table.  This is
+algebraically the classical flow (marginalize, divide by the old sepset
+content, multiply into the receiver) with the division cancelled symbolically
+— which is exactly what lets a replayed outward pass retract a hard finding
+without dividing by zeros it created.
 
 After collect + distribute with findings entered, every clique potential
-equals p(members, e) and every sepset potential equals p(members, e); the
+equals p(members, e) and every sepset potential equals p(members, e).
+Marginals and root totals are contracted from the same factor lists.  The
 finding vectors attached at a clique are multiplied in lazily, so dropping one
 vector from the registry and replaying a single outward pass from its
 attachment clique yields the tree for the reduced evidence set.
@@ -19,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BnsenseError, ImpossibleEvidenceError, NetworkFormatError
+from .errors import BnsenseError, ImpossibleEvidenceError
 from .jtree import JunctionTree, PropagationStats
-from .network import Evidence
+from .network import Evidence, check_finding
 
 __all__ = ["PropagationStats", "enter_finding", "collect", "distribute",
            "propagate_full", "evidence_probability", "marginal", "retract_finding"]
@@ -33,16 +36,7 @@ def enter_finding(tree: JunctionTree, var: int, vector) -> None:
     The vector is attached at the variable's family clique and folded into
     message computation lazily; the tree needs a propagation afterwards.
     """
-    vec = np.asarray(vector, dtype=float)
-    if vec.shape != (tree.net.arity(var),):
-        raise NetworkFormatError(
-            f"finding for variable {var} has length {vec.size}, "
-            f"expected {tree.net.arity(var)}")
-    if np.any(vec < 0) or not np.all(np.isfinite(vec)):
-        raise NetworkFormatError(f"finding for variable {var} must be finite and nonnegative")
-    if not np.any(vec > 0):
-        raise ImpossibleEvidenceError(f"finding for variable {var} is all-zero")
-    tree.findings[var] = vec
+    tree.findings[var] = check_finding(tree.net, var, vector)
     tree.consistent = False
 
 
@@ -70,9 +64,8 @@ def _bfs(tree: JunctionTree, root: int):
 
 
 def _send(tree: JunctionTree, src: int, dst: int, s_idx: int) -> None:
-    sep = tree.sepsets[s_idx]
-    pot = tree.local_product(src, without=dst)
-    tree.messages[(src, dst)] = pot.marginalize(sep.members)
+    tree.messages[(src, dst)] = tree.local_product(src, tree.sepsets[s_idx].members,
+                                                   without=dst)
     tree.stats.messages_passed += 1
 
 
@@ -100,7 +93,7 @@ def distribute(tree: JunctionTree, root: int | None = None) -> None:
         for cid in order[1:]:
             p, s_idx = parent[cid]
             _send(tree, p, cid, s_idx)
-        tree.component_mass[comp] = tree.clique_potential(r).total()
+        tree.component_mass[comp] = tree.local_product(r, ()).total()
     tree.stats.outward_propagations += 1
     tree.consistent = True
 
@@ -138,7 +131,7 @@ def marginal(tree: JunctionTree, var: int) -> np.ndarray:
     if not tree.consistent:
         raise BnsenseError("tree is not consistent; propagate first")
     cid = tree.var_clique[var]
-    vec = tree.clique_potential(cid).marginalize((var,)).table
+    vec = tree.local_product(cid, (var,)).table
     scale = 1.0
     comp = tree.component_of[cid]
     for other, mass in tree.component_mass.items():

@@ -37,6 +37,22 @@ class TestLoading:
                    [{"variable": "A", "parents": [], "rows": [[0.2, 0.9]]}])
         with pytest.raises(NetworkFormatError, match="'A'.*row 0"):
             network_from_dict(doc)
+        for offset in (2e-9, -2e-9):    # just outside the 1e-9 tolerance
+            doc = _doc(R1_DOC["variables"],
+                       [R1_DOC["cpts"][0],
+                        {"variable": "B", "parents": ["A"],
+                         "rows": [[0.9, 0.1], [0.3, 0.7 + offset]]}])
+            with pytest.raises(NetworkFormatError, match="'B', row 1: sum"):
+                network_from_dict(doc)
+
+    @pytest.mark.parametrize("offset", [5e-10, -5e-10])
+    def test_row_sum_just_inside_tolerance_is_accepted(self, offset):
+        doc = _doc(R1_DOC["variables"],
+                   [R1_DOC["cpts"][0],
+                    {"variable": "B", "parents": ["A"],
+                     "rows": [[0.9, 0.1], [0.3, 0.7 + offset]]}])
+        net = network_from_dict(doc)
+        assert net.cpts[1][1].sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_cycle_error(self):
         doc = _doc(R1_DOC["variables"],
