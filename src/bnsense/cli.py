@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (BnsenseError, ImpossibleEvidenceError, NetworkFormatError)
 from .functions import SensitivityFunction, derivative, evaluate
-from .jtree import JunctionTree, build_junction_tree
+from .jtree import build_junction_tree
 from .network import (Evidence, Network, ParameterRef, QueryRef, format_parameter,
                       load_network)
 from .nway import general_nway, same_clique_nway
@@ -257,11 +257,14 @@ def _emit(text: str, out_path: str | None) -> None:
         raise _ReportError(f"cannot write report to {out_path!r}: {exc}") from exc
 
 
-def _print_stats(args, tree: JunctionTree, stream=None) -> None:
+def _stats_line(counts: tuple[int, int, int]) -> str:
+    """(inward, outward, messages) as the `stats` report line."""
+    return "inward={} outward={} messages={}".format(*counts)
+
+
+def _print_stats(args, counts: tuple[int, int, int]) -> None:
     if getattr(args, "stats", False):
-        s = tree.stats
-        print(f"inward={s.inward_propagations} outward={s.outward_propagations} "
-              f"messages={s.messages_passed}", file=stream or sys.stderr)
+        print(_stats_line(counts), file=sys.stderr)
 
 
 def _config_text(net: Network, ref: ParameterRef) -> str:
@@ -304,7 +307,7 @@ def _run_infer(args) -> int:
     lines = [f"{name} {net.variables[var].states[s]} {POSTERIOR % dist[s]}"
              for s in states]
     _emit("".join(line + "\n" for line in lines), getattr(args, "out", None))
-    _print_stats(args, tree)
+    _print_stats(args, tree.stats.snapshot())
     return EXIT_OK
 
 
@@ -342,7 +345,7 @@ def _run_sens_out(args) -> int:
     rows = [SENS_OUT_HEADER]
     rows += [_function_row(net, ref, sf) for ref, sf in analysis.functions.items()]
     _emit(_csv(rows), args.out)
-    _print_stats(args, tree)
+    _print_stats(args, tree.stats.snapshot())
     return EXIT_OK
 
 
@@ -367,7 +370,7 @@ def _run_sens_param(args) -> int:
                          *(REAL % c for c in sf.coefficients()),
                          REAL % evaluate(sf, x0), REAL % derivative(sf, x0)])
     _emit(_csv(rows), args.out)
-    _print_stats(args, tree)
+    _print_stats(args, tree.stats.snapshot())
     return EXIT_OK
 
 
@@ -386,14 +389,11 @@ def _run_sens_n(args) -> int:
     needed = sorted({v for ref in refs for v in net.family(ref.variable)})
     if tree.clique_containing(tuple(needed)) is not None:
         mf = same_clique_nway(tree, refs, evidence)
-        _print_stats(args, tree)
+        counts = tree.stats.snapshot()
     else:
         result = general_nway(net, refs, evidence)
-        mf = result.function
-        if args.stats:
-            inward, outward, messages = result.stats
-            print(f"inward={inward} outward={outward} messages={messages}",
-                  file=sys.stderr)
+        mf, counts = result.function, result.stats
+    _print_stats(args, counts)
 
     ordered = sorted(mf.coefficients,
                      key=lambda m: (bin(m).count("1"),
@@ -441,9 +441,7 @@ def _run_stats(args) -> int:
     evidence = _parse_evidence(net, args.evidence)
     tree = build_junction_tree(net)
     propagate_full(tree, evidence)
-    s = tree.stats
-    print(f"inward={s.inward_propagations} outward={s.outward_propagations} "
-          f"messages={s.messages_passed}")
+    print(_stats_line(tree.stats.snapshot()))
     return EXIT_OK
 
 

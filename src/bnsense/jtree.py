@@ -3,8 +3,9 @@
 The pipeline is the classical one — moralize the DAG, triangulate greedily by
 minimum fill (lowest variable id on ties), read the maximal cliques off the
 elimination, and connect them by a maximum-weight spanning tree over candidate
-sepsets.  Every tie-break is fixed so that identical networks always produce
-identical trees.
+sepsets.  A disconnected network still compiles to one tree: its parts are
+joined by empty sepsets.  Every tie-break is fixed so that identical networks
+always produce identical trees.
 
 The tree also owns the mutable propagation state: a cache of per-variable CPT
 factors, a registry of per-variable finding vectors, and the two directed
@@ -160,10 +161,15 @@ class _UnionFind:
 
 
 def _spanning_sepsets(net: Network, members: list[tuple[int, ...]]) -> list[Sepset]:
-    """Maximum-weight spanning forest over candidate sepsets.
+    """Maximum-weight spanning tree over candidate sepsets.
 
     Weight is the number of shared variables; ties prefer the larger joint
     state space (mass), then the lexicographically smaller clique-id pair.
+    Cliques sharing no variable are never scored.  If the pairs with shared
+    variables leave a forest (a disconnected network), each remaining tree
+    is joined to clique 0 through its lowest clique by an empty sepset
+    (Jensen & Jensen, *Optimal junction trees*, UAI 1994), whose messages are
+    the scalar masses of the two sides.
     """
     candidates = []
     for i in range(len(members)):
@@ -181,6 +187,7 @@ def _spanning_sepsets(net: Network, members: list[tuple[int, ...]]) -> list[Seps
     for _, _, i, j, shared in candidates:
         if uf.union(i, j):
             sepsets.append(Sepset((i, j), shared))
+    sepsets.extend(Sepset((0, j), ()) for j in range(1, len(members)) if uf.union(0, j))
     return sepsets
 
 
@@ -218,20 +225,13 @@ class JunctionTree:
             for v in c.members:
                 self.var_clique.setdefault(v, c.id)
 
-        # connected components of the clique forest, keyed by their lowest clique id
-        uf = _UnionFind(len(cliques))
-        for sep in sepsets:
-            uf.union(*sep.cliques)
-        self.component_of: dict[int, int] = {c.id: uf.find(c.id) for c in cliques}
-        self.component_roots: tuple[int, ...] = tuple(sorted(set(self.component_of.values())))
-
         self._sizes = [math.prod(net.arity(v) for v in c.members) for c in cliques]
         self._cpt_factors: dict[int, Potential] = {}
         self._paths: dict[tuple, list] = {}
         self.findings: dict[int, np.ndarray] = {}
         self.injected: dict[int, dict[int, np.ndarray]] = {}
         self.messages: dict[tuple[int, int], Potential] = {}
-        self.component_mass: dict[int, float] = {}
+        self.evidence_mass: float | None = None   # p(e), set by each outward pass
         self.consistent = False
         self.stats = PropagationStats()
 
@@ -344,7 +344,7 @@ class JunctionTree:
         self.findings.clear()
         self.injected.clear()
         self.messages.clear()
-        self.component_mass.clear()
+        self.evidence_mass = None
         self.consistent = False
 
     def to_dict(self) -> dict:

@@ -80,7 +80,12 @@ class Network:
             tables.append(t)
         self.cpts: tuple[np.ndarray, ...] = tuple(tables)
         self._ids = {v.name: i for i, v in enumerate(self.variables)}
-        self._order = _topological_order(len(self.variables), self.parents)
+        children: list[list[int]] = [[] for _ in self.variables]
+        for v, pars in enumerate(self.parents):
+            for p in pars:
+                children[p].append(v)
+        self._children = tuple(tuple(c) for c in children)
+        self._order = _topological_order(self.parents, self._children)
 
     # -- basic lookups ---------------------------------------------------
 
@@ -113,7 +118,7 @@ class Network:
         return self._order
 
     def children(self, var: int) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n_variables) if var in self.parents[v])
+        return self._children[var]
 
     # -- CPT row addressing ----------------------------------------------
 
@@ -161,13 +166,11 @@ class Network:
         return Network(list(self.variables), list(self.parents), tables)
 
 
-def _topological_order(n: int, parents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _topological_order(parents: tuple[tuple[int, ...], ...],
+                       children: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Kahn's algorithm; raises on cycles naming the variables involved."""
+    n = len(parents)
     remaining_parents = {v: set(parents[v]) for v in range(n)}
-    children: dict[int, list[int]] = {v: [] for v in range(n)}
-    for v in range(n):
-        for p in parents[v]:
-            children[p].append(v)
     ready = sorted(v for v in range(n) if not remaining_parents[v])
     order: list[int] = []
     while ready:

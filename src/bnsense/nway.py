@@ -25,8 +25,8 @@ from .errors import (BnsenseError, CliqueMembershipError, DegenerateParameterErr
                      DependentParametersError, RankDeficiencyError)
 from .functions import MultilinearFunction, evaluate_multilinear
 from .jtree import JunctionTree, build_junction_tree
-from .network import Evidence, Network, ParameterRef, apply_parameter
-from .oneway import _component_scales, _extract_lines
+from .network import Evidence, Network, ParameterRef
+from .oneway import _extract_lines
 from .propagation import evidence_probability, propagate_full
 
 __all__ = ["check_independent", "same_clique_nway", "general_nway",
@@ -106,7 +106,6 @@ def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
 
     propagate_full(tree, evidence, root=home)
     pot = tree.clique_potential(home)
-    scale = _component_scales(tree)[tree.component_of[home]]
 
     # Classify every entry at once.  Per parameter, an entry is outside its
     # context (digit 0), matches the designated state (1) or disagrees with
@@ -145,7 +144,7 @@ def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
             sign = -1.0 if bin(sub).count("1") % 2 else 1.0
             coeffs[matched | sub] += sign * float(sums[group])
 
-    return MultilinearFunction(tuple(params), {m: c * scale for m, c in coeffs.items()})
+    return MultilinearFunction(tuple(params), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ class NWayResult:
     function: MultilinearFunction
     budget: int                 # a-priori allocation of extra propagations
     extra_propagations: int     # actually performed beyond the initial one
-    stats: tuple[int, int, int]  # summed (inward, outward, messages) over all trees
+    stats: tuple[int, int, int]  # (inward, outward, messages) over every propagation
 
 
 def extra_propagation_budget(n: int, m: int) -> int:
@@ -301,7 +300,8 @@ def general_nway(net: Network, params: list[ParameterRef],
     contribute their coefficient equations.  While the system is
     rank-deficient, further full propagations run at deterministic fresh
     settings, up to a hard cap of 2^n, each adding its value and line
-    equations.
+    equations.  The network is compiled once; each setting co-varies the
+    parameters' rows in place on that tree.
     """
     _require_analyzable(net, params)
     n = len(params)
@@ -312,12 +312,10 @@ def general_nway(net: Network, params: list[ParameterRef],
 
     rows: list[np.ndarray] = []
     rhs: list[float] = []
-    totals = np.zeros(3, dtype=int)
+    tree = build_junction_tree(net)
 
-    def add_propagation(setting: np.ndarray, network: Network) -> None:
-        tree = build_junction_tree(network)
+    def add_propagation(setting: np.ndarray) -> None:
         propagate_full(tree, evidence)
-        totals[:] += tree.stats.snapshot()
         rows.append(_value_row(n, setting))
         rhs.append(evidence_probability(tree))
         lines, skipped = _extract_lines(tree, params)  # looks up current row values
@@ -332,7 +330,7 @@ def general_nway(net: Network, params: list[ParameterRef],
             rows.append(intercept_row)
             rhs.append(line.intercept)
 
-    add_propagation(operating, net)
+    add_propagation(operating)
 
     for mf in lower_order or []:
         indices = []
@@ -358,10 +356,9 @@ def general_nway(net: Network, params: list[ParameterRef],
                 f"{extra} extra propagations")
         extra += 1
         setting = _extension_setting(extra, operating)
-        network = net
         for i, ref in enumerate(params):
-            network = apply_parameter(network, ref, float(setting[i]))
-        add_propagation(setting, network)
+            tree.set_parameter(ref, float(setting[i]))
+        add_propagation(setting)
 
     residual = float(np.max(np.abs(np.array(rows) @ solution - np.array(rhs))))
     if residual > 1e-6:
@@ -371,4 +368,4 @@ def general_nway(net: Network, params: list[ParameterRef],
 
     coeffs = {mask: float(solution[mask]) for mask in range(1 << n)}
     return NWayResult(MultilinearFunction(tuple(params), coeffs), budget, extra,
-                      tuple(int(t) for t in totals))
+                      tree.stats.snapshot())

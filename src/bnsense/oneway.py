@@ -58,18 +58,6 @@ class OneParamAnalysis:
 # relevance screening
 
 
-def _descendant_closure(net: Network, roots: set[int]) -> set[int]:
-    out = set(roots)
-    frontier = list(roots)
-    while frontier:
-        v = frontier.pop()
-        for c in net.children(v):
-            if c not in out:
-                out.add(c)
-                frontier.append(c)
-    return out
-
-
 def _influenced_variables(net: Network, target: int, evidence_vars: set[int]) -> set[int]:
     """Variables whose CPT can influence p(target | evidence) — a sound superset.
 
@@ -151,19 +139,6 @@ def _row_mass_by_state(tree: JunctionTree, marg: Potential, var: int,
     return np.asarray(marg.table[idx], dtype=float)
 
 
-def _component_scales(tree: JunctionTree) -> dict[int, float]:
-    """For each component, the product of the *other* components' masses."""
-    comps = tree.component_roots
-    scales = {}
-    for comp in comps:
-        s = 1.0
-        for other in comps:
-            if other != comp:
-                s *= tree.component_mass[other]
-        scales[comp] = s
-    return scales
-
-
 def _extract_lines(tree: JunctionTree, params: list[ParameterRef]):
     """Line coefficients of the tree's current total mass in each parameter.
 
@@ -176,7 +151,6 @@ def _extract_lines(tree: JunctionTree, params: list[ParameterRef]):
     """
     lines: dict[ParameterRef, LinearCoeffs] = {}
     skipped: list[tuple[ParameterRef, str]] = []
-    scales = _component_scales(tree)
     cache: dict[int, Potential] = {}
     for ref in params:
         value = tree.net.parameter_value(ref)
@@ -191,17 +165,12 @@ def _extract_lines(tree: JunctionTree, params: list[ParameterRef]):
         rest = total - held - covaried
         direct = held / value if value > 0 else 0.0  # 0/0 := 0 (mass vanishes with value)
         shrink = covaried / (1.0 - value)
-        scale = scales[tree.component_of[tree.family_clique[ref.variable]]]
-        lines[ref] = LinearCoeffs((direct - shrink) * scale, (shrink + rest) * scale)
+        lines[ref] = LinearCoeffs(direct - shrink, shrink + rest)
     return lines, skipped
 
 
 # ---------------------------------------------------------------------------
 # one output, all parameters
-
-
-def _query_root(tree: JunctionTree, query: QueryRef) -> int:
-    return tree.var_clique[query.variable]
 
 
 def _indicator(tree: JunctionTree, query: QueryRef) -> np.ndarray:
@@ -221,7 +190,7 @@ def one_output_all_params_m1(tree: JunctionTree, query: QueryRef,
     """
     if params is None:
         params = enumerate_parameters(tree.net)
-    home = _query_root(tree, query)
+    home = tree.var_clique[query.variable]
     propagate_full(tree, evidence, root=home)
     den_lines, skipped = _extract_lines(tree, params)
 
@@ -250,7 +219,7 @@ def one_output_all_params_m2(tree: JunctionTree, query: QueryRef,
     """
     if params is None:
         params = enumerate_parameters(tree.net)
-    home = _query_root(tree, query)
+    home = tree.var_clique[query.variable]
     tree.reset()
     if evidence is not None:
         for var, vec in evidence.items():
@@ -294,11 +263,8 @@ def _two_point_lines(tree: JunctionTree, params: list[ParameterRef]):
     """
     lines: dict[ParameterRef, LinearCoeffs] = {}
     skipped: list[tuple[ParameterRef, str]] = []
-    scales = _component_scales(tree)
     cache: dict[int, Potential] = {}
-    mass_total = 1.0
-    for comp in tree.component_roots:
-        mass_total *= tree.component_mass[comp]
+    mass_total = evidence_probability(tree)
     for ref in params:
         x1 = tree.net.parameter_value(ref)
         if x1 >= 1.0:
@@ -312,8 +278,7 @@ def _two_point_lines(tree: JunctionTree, params: list[ParameterRef]):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(row1 > 0, row2 / np.where(row1 > 0, row1, 1.0), 0.0)
         reweighted = float((mass * ratio).sum()) + (marg.total() - float(mass.sum()))
-        scale = scales[tree.component_of[tree.family_clique[ref.variable]]]
-        lines[ref] = _line_through(x1, mass_total, x2, reweighted * scale)
+        lines[ref] = _line_through(x1, mass_total, x2, reweighted)
     return lines, skipped
 
 
@@ -340,12 +305,12 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
 
     home = tree.family_clique[ref.variable]
     propagate_full(tree, evidence, root=home)
-    first = {var: marginal(tree, var).copy() for var in targets}
+    first = {var: marginal(tree, var) for var in targets}
     pe1 = evidence_probability(tree)
 
     tree.set_parameter(ref, x2)
     distribute(tree, home)
-    second = {var: marginal(tree, var).copy() for var in targets}
+    second = {var: marginal(tree, var) for var in targets}
     pe2 = evidence_probability(tree)
 
     den = _line_through(x1, pe1, x2, pe2)

@@ -40,14 +40,8 @@ def enter_finding(tree: JunctionTree, var: int, vector) -> None:
     tree.consistent = False
 
 
-def _component_root(tree: JunctionTree, comp: int, chosen_root: int | None) -> int:
-    if chosen_root is not None and tree.component_of[chosen_root] == comp:
-        return chosen_root
-    return comp  # component ids are their lowest clique id
-
-
 def _bfs(tree: JunctionTree, root: int):
-    """BFS order of the root's component plus each clique's (parent, sepset)."""
+    """BFS order of the tree from the root plus each clique's (parent, sepset)."""
     order = [root]
     parent: dict[int, tuple[int, int]] = {}
     seen = {root}
@@ -69,37 +63,34 @@ def _send(tree: JunctionTree, src: int, dst: int, s_idx: int) -> None:
     tree.stats.messages_passed += 1
 
 
-def collect(tree: JunctionTree, root: int | None = None) -> None:
-    """Pass messages leaf-to-root in every component; one inward propagation."""
-    for comp in tree.component_roots:
-        r = _component_root(tree, comp, root)
-        order, parent = _bfs(tree, r)
-        for cid in reversed(order[1:]):
-            p, s_idx = parent[cid]
-            _send(tree, cid, p, s_idx)
+def collect(tree: JunctionTree, root: int = 0) -> None:
+    """Pass messages leaf-to-root over the tree; one inward propagation."""
+    order, parent = _bfs(tree, root)
+    for cid in reversed(order[1:]):
+        p, s_idx = parent[cid]
+        _send(tree, cid, p, s_idx)
     tree.stats.inward_propagations += 1
 
 
-def distribute(tree: JunctionTree, root: int | None = None) -> None:
-    """Pass messages root-to-leaves in every component; one outward propagation.
+def distribute(tree: JunctionTree, root: int = 0) -> None:
+    """Pass messages root-to-leaves over the tree; one outward propagation.
 
-    Also the replay primitive: after changing what is attached at (or assigned
-    to) a clique, distributing from that clique rebuilds every message directed
-    away from it, because messages directed toward it never depended on it.
+    Records p(e) as the root's total.  Also the replay primitive: after
+    changing what is attached at (or assigned to) a clique, distributing from
+    that clique rebuilds every message directed away from it, because messages
+    directed toward it never depended on it.
     """
-    for comp in tree.component_roots:
-        r = _component_root(tree, comp, root)
-        order, parent = _bfs(tree, r)
-        for cid in order[1:]:
-            p, s_idx = parent[cid]
-            _send(tree, p, cid, s_idx)
-        tree.component_mass[comp] = tree.local_product(r, ()).total()
+    order, parent = _bfs(tree, root)
+    for cid in order[1:]:
+        p, s_idx = parent[cid]
+        _send(tree, p, cid, s_idx)
+    tree.evidence_mass = tree.local_product(root, ()).total()
     tree.stats.outward_propagations += 1
     tree.consistent = True
 
 
 def propagate_full(tree: JunctionTree, evidence: Evidence | None = None,
-                   root: int | None = None) -> float:
+                   root: int = 0) -> float:
     """Reset, enter the evidence, collect and distribute; returns p(e).
 
     Raises ImpossibleEvidenceError when the evidence has probability zero.
@@ -117,27 +108,21 @@ def propagate_full(tree: JunctionTree, evidence: Evidence | None = None,
 
 
 def evidence_probability(tree: JunctionTree) -> float:
-    """p(e) as the product over components of their root-clique totals."""
-    if not tree.component_mass:
+    """p(e): the root-clique total of the last outward propagation."""
+    if tree.evidence_mass is None:
         raise BnsenseError("tree has not been propagated")
-    pe = 1.0
-    for comp in tree.component_roots:
-        pe *= tree.component_mass[comp]
-    return pe
+    return tree.evidence_mass
 
 
 def marginal(tree: JunctionTree, var: int) -> np.ndarray:
-    """p(var, e) read from the lowest-id clique containing the variable."""
+    """p(var, e) read from the lowest-id clique containing the variable.
+
+    Always a fresh array: a clique holding nothing but the variable's own CPT
+    would otherwise hand back a read-only view of that CPT.
+    """
     if not tree.consistent:
         raise BnsenseError("tree is not consistent; propagate first")
-    cid = tree.var_clique[var]
-    vec = tree.local_product(cid, (var,)).table
-    scale = 1.0
-    comp = tree.component_of[cid]
-    for other, mass in tree.component_mass.items():
-        if other != comp:
-            scale *= mass
-    return vec * scale
+    return tree.local_product(tree.var_clique[var], (var,)).table.copy()
 
 
 def retract_finding(tree: JunctionTree, var: int) -> None:

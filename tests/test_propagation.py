@@ -4,14 +4,32 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bnsense import (BnsenseError, Evidence, ImpossibleEvidenceError,
-                     build_junction_tree, evidence_probability, load_network,
-                     marginal, propagate_full, retract_finding)
-from bnsense.oracle import brute_query, random_network
+from bnsense import (BnsenseError, Evidence, ImpossibleEvidenceError, QueryRef,
+                     all_outputs_one_param, build_junction_tree, evidence_probability,
+                     general_nway, load_network, marginal, one_output_all_params_m1,
+                     one_output_all_params_m2, propagate_full, retract_finding)
+from bnsense.network import enumerate_parameters
+from bnsense.oracle import (brute_evidence_probability, brute_query, fit_linear_sf,
+                            fit_multilinear, random_independent_parameters,
+                            random_network)
 from tests.conftest import possible_evidence
 
 P_BY = 0.42
 P_CY = 0.352
+
+
+def assert_retraction_matches_fresh(net, ev):
+    """Retracting each finding leaves the tree a fresh propagation would give."""
+    for var in ev.variables():
+        tree = build_junction_tree(net)
+        propagate_full(tree, ev)
+        retract_finding(tree, var)
+        fresh = build_junction_tree(net)
+        propagate_full(fresh, ev.copy().remove(var))
+        assert evidence_probability(tree) == pytest.approx(
+            evidence_probability(fresh), abs=1e-9)
+        for v in range(net.n_variables):
+            assert_allclose(marginal(tree, v), marginal(fresh, v), atol=1e-9)
 
 
 class TestFullPropagation:
@@ -112,6 +130,75 @@ class TestDisconnectedNetworks:
         # p(B, e) = p(B) * p(A=y)
         assert_allclose(marginal(tree, 1), [0.6 * 0.2, 0.4 * 0.2], atol=1e-12)
 
+    def test_parts_joined_by_an_empty_sepset(self):
+        net = load_network(self.NET)
+        tree = build_junction_tree(net)
+        assert tree.to_dict() == {
+            "cliques": [
+                {"id": 0, "members": ["A"], "families": ["A"]},
+                {"id": 1, "members": ["B"], "families": ["B"]},
+            ],
+            "sepsets": [{"cliques": [0, 1], "members": []}],
+            "edges": [[0, 1]],
+        }
+        propagate_full(tree, Evidence(net).set_hard("B", "n"))
+        inward, outward, messages = tree.stats.snapshot()
+        assert (inward, outward) == (1, 1)
+        assert messages == 2 * len(tree.sepsets)
+
+    @staticmethod
+    def _disconnected_draws(seed: int, count: int):
+        """Seeded disconnected random networks with possible evidence, plus how
+        many of them compiled to a tree with at least one empty sepset."""
+        rng = np.random.default_rng(seed)
+        draws, joined = [], 0
+        for _ in range(count):
+            net = random_network(rng, connected=False)
+            draws.append((net, possible_evidence(rng, net)))
+            joined += any(not s.members for s in build_junction_tree(net).sepsets)
+        return rng, draws, joined
+
+    def test_random_draws_match_oracle(self):
+        rng, draws, joined = self._disconnected_draws(33, 20)
+        assert joined >= 5
+        for net, ev in draws:
+            tree = build_junction_tree(net)
+            assert propagate_full(tree, ev) == pytest.approx(
+                brute_evidence_probability(net, ev), abs=1e-9)
+            for var in range(net.n_variables):
+                expected = [brute_query(net, var, s, ev)[0] for s in range(net.arity(var))]
+                assert_allclose(marginal(tree, var), expected, atol=1e-9)
+
+            var = int(rng.integers(net.n_variables))
+            query = QueryRef(var, int(rng.integers(net.arity(var))))
+            params = enumerate_parameters(net)
+            for analyze in (one_output_all_params_m1, one_output_all_params_m2):
+                analysis = analyze(build_junction_tree(net), query, ev, params)
+                assert len(analysis.functions) == len(params)
+                for ref, sf in analysis.functions.items():
+                    expected = fit_linear_sf(net, ref, query.variable, query.state, ev)
+                    assert_allclose(sf.coefficients(), expected.coefficients(), atol=1e-9)
+
+            ref = params[int(rng.integers(len(params)))]
+            sweep = all_outputs_one_param(build_junction_tree(net), ref, ev)
+            for target, functions in sweep.functions.items():
+                for state, sf in enumerate(functions):
+                    expected = fit_linear_sf(net, ref, target, state, ev)
+                    assert_allclose(sf.coefficients(), expected.coefficients(), atol=1e-9)
+
+            refs = random_independent_parameters(rng, net, 2)
+            if refs is not None:
+                got = general_nway(net, refs, ev).function.coefficients
+                want = fit_multilinear(net, refs, ev).coefficients
+                assert_allclose([got[m] for m in range(4)], [want[m] for m in range(4)],
+                                atol=1e-9)
+
+    def test_retraction_matches_fresh_propagation(self):
+        _, draws, joined = self._disconnected_draws(34, 20)
+        assert joined >= 5
+        for net, ev in draws:
+            assert_retraction_matches_fresh(net, ev)
+
 
 class TestRetraction:
     def test_matches_fresh_propagation(self):
@@ -123,16 +210,7 @@ class TestRetraction:
             if len(ev) < 2:
                 continue
             cases += 1
-            for var in ev.variables():
-                tree = build_junction_tree(net)
-                propagate_full(tree, ev)
-                retract_finding(tree, var)
-                fresh = build_junction_tree(net)
-                propagate_full(fresh, ev.copy().remove(var))
-                assert evidence_probability(tree) == pytest.approx(
-                    evidence_probability(fresh), abs=1e-9)
-                for v in range(net.n_variables):
-                    assert_allclose(marginal(tree, v), marginal(fresh, v), atol=1e-9)
+            assert_retraction_matches_fresh(net, ev)
 
     def test_costs_one_outward_pass(self, r2):
         tree = build_junction_tree(r2)
