@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -71,7 +72,9 @@ class _Parser(argparse.ArgumentParser):
 # argument grammar
 
 
+@functools.cache
 def _parser() -> _Parser:
+    """The argument grammar, built on first use and shared by every later call."""
     top = _Parser(prog="bnsense",
                   description="Exact inference and parameter sensitivity "
                               "analysis for discrete Bayesian networks.")

@@ -7,6 +7,13 @@ sepsets.  A disconnected network still compiles to one tree: its parts are
 joined by empty sepsets.  Every tie-break is fixed so that identical networks
 always produce identical trees.
 
+Each step does near-linear work on a sparse network.  Triangulation keeps
+the fill scores in a heap and rescores only the vertices an elimination
+touches; the maximal cliques come from a linear test on the elimination
+order; sepset candidates are the clique pairs that share a variable, read
+off a variable-to-cliques index, which also places each family and answers
+`clique_containing`.
+
 The tree also owns the mutable propagation state: a cache of per-variable CPT
 factors, a registry of per-variable finding vectors, and the two directed
 messages per sepset.  A clique is never stored as a dense table.  It is kept
@@ -20,6 +27,7 @@ factors, which is what makes retracting a single finding cheap.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -91,55 +99,71 @@ def triangulate(adj: dict[int, set[int]]) -> tuple[tuple[int, ...], set[frozense
     """Greedy min-fill elimination; returns (order, fill edges added).
 
     Ties on fill count go to the lowest variable id, making the order (and
-    everything downstream) deterministic.
+    everything downstream) deterministic.  Scores sit in a heap of
+    (fill, id) entries, invalidated lazily.  Eliminating v changes the score
+    of v's neighbours (they lose v and gain fill edges) and of every vertex
+    adjacent to both ends of a fill edge (that pair is no longer missing);
+    only those are rescored, so a sparse graph costs near-linear time.
     """
     work = {v: set(ns) for v, ns in adj.items()}
+    score = {v: _fill_count(work, v) for v in work}
+    heap = [(fill, v) for v, fill in score.items()]
+    heapq.heapify(heap)
     order: list[int] = []
     fills: set[frozenset[int]] = set()
-    remaining = sorted(work)
-    while remaining:
-        best, best_fill = None, None
-        for v in remaining:
-            ns = sorted(work[v])
-            count = sum(1 for i, a in enumerate(ns) for b in ns[i + 1:]
-                        if b not in work[a])
-            if best_fill is None or count < best_fill:
-                best, best_fill = v, count
-        v = best
-        ns = sorted(work[v])
+    while heap:
+        fill, v = heapq.heappop(heap)
+        if v not in work or score[v] != fill:
+            continue
+        ns = sorted(work.pop(v))
+        touched = set(ns)
+        for a in ns:
+            work[a].discard(v)
         for i, a in enumerate(ns):
             for b in ns[i + 1:]:
                 if b not in work[a]:
+                    touched |= work[a] & work[b]
                     work[a].add(b)
                     work[b].add(a)
                     fills.add(frozenset((a, b)))
-        for a in ns:
-            work[a].discard(v)
-        del work[v]
-        remaining.remove(v)
+        for u in touched:
+            fill = _fill_count(work, u)
+            if fill != score[u]:
+                score[u] = fill
+                heapq.heappush(heap, (fill, u))
         order.append(v)
     return tuple(order), fills
 
 
+def _fill_count(work: dict[int, set[int]], v: int) -> int:
+    """Number of non-adjacent pairs among v's neighbours."""
+    ns = work[v]
+    return sum(len(ns) - 1 - len(work[a] & ns) for a in ns) // 2
+
+
 def _elimination_cliques(adj: dict[int, set[int]], order: tuple[int, ...],
                          fills: set[frozenset[int]]) -> list[tuple[int, ...]]:
-    """Maximal cliques of the triangulated graph, sorted lexicographically."""
-    work: dict[int, set[int]] = {v: set(ns) for v, ns in adj.items()}
+    """Maximal cliques of the triangulated graph, sorted lexicographically.
+
+    Each vertex v gives the candidate {v} + its later-eliminated neighbours.
+    Along a perfect elimination order, a candidate is not maximal exactly
+    when some vertex u whose earliest later neighbour is v has one more later
+    neighbour than v (Tarjan & Yannakakis, SIAM J. Comput. 1984), which is a
+    linear-time test.
+    """
+    position = {v: i for i, v in enumerate(order)}
+    later: dict[int, set[int]] = {v: {a for a in ns if position[a] > position[v]}
+                                  for v, ns in adj.items()}
     for edge in fills:
-        a, b = tuple(edge)
-        work[a].add(b)
-        work[b].add(a)
-    candidates: list[frozenset[int]] = []
-    for v in order:
-        candidates.append(frozenset({v} | work[v]))
-        for a in work[v]:
-            work[a].discard(v)
-        del work[v]
-    maximal: list[frozenset[int]] = []
-    for c in sorted(set(candidates), key=len, reverse=True):
-        if not any(c < kept for kept in maximal):
-            maximal.append(c)
-    return sorted(tuple(sorted(c)) for c in maximal)
+        a, b = sorted(edge, key=position.__getitem__)
+        later[a].add(b)
+    contained: set[int] = set()
+    for u in order:
+        if later[u]:
+            v = min(later[u], key=position.__getitem__)
+            if len(later[u]) == len(later[v]) + 1:
+                contained.add(v)
+    return sorted(tuple(sorted(later[v] | {v})) for v in order if v not in contained)
 
 
 class _UnionFind:
@@ -160,33 +184,50 @@ class _UnionFind:
         return True
 
 
-def _spanning_sepsets(net: Network, members: list[tuple[int, ...]]) -> list[Sepset]:
+def _cliques_by_variable(n_variables: int, members: list[tuple[int, ...]]) -> list[list[int]]:
+    """For each variable, the ids of the cliques holding it, in increasing order."""
+    index: list[list[int]] = [[] for _ in range(n_variables)]
+    for cid, mem in enumerate(members):
+        for v in mem:
+            index[v].append(cid)
+    return index
+
+
+def _lowest_clique_holding(index: list[list[int]], member_sets, vars) -> int | None:
+    """Lowest id among the cliques holding every one of the (nonempty) `vars`, if any."""
+    holding = min((index[v] for v in vars), key=len)
+    return next((cid for cid in holding if member_sets[cid].issuperset(vars)), None)
+
+
+def _spanning_sepsets(net: Network, members: list[tuple[int, ...]],
+                      index: list[list[int]]) -> list[Sepset]:
     """Maximum-weight spanning tree over candidate sepsets.
 
     Weight is the number of shared variables; ties prefer the larger joint
     state space (mass), then the lexicographically smaller clique-id pair.
-    Cliques sharing no variable are never scored.  If the pairs with shared
-    variables leave a forest (a disconnected network), each remaining tree
-    is joined to clique 0 through its lowest clique by an empty sepset
-    (Jensen & Jensen, *Optimal junction trees*, UAI 1994), whose messages are
-    the scalar masses of the two sides.
+    Only pairs of cliques that share a variable are scored; they are read
+    off the variable-to-cliques index.  If those pairs leave a forest (a
+    disconnected network), each remaining tree is joined to clique 0 through
+    its lowest clique by an empty sepset (Jensen & Jensen, *Optimal junction
+    trees*, UAI 1994), whose messages are the scalar masses of the two sides.
     """
+    shared: dict[tuple[int, int], list[int]] = {}
+    for v, holding in enumerate(index):
+        for k, i in enumerate(holding):
+            for j in holding[k + 1:]:
+                shared.setdefault((i, j), []).append(v)
     candidates = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            shared = tuple(sorted(set(members[i]) & set(members[j])))
-            if not shared:
-                continue
-            mass = 1
-            for v in shared:
-                mass *= net.arity(v)
-            candidates.append((-len(shared), -mass, i, j, shared))
+    for (i, j), vars in shared.items():
+        mass = 1
+        for v in vars:
+            mass *= net.arity(v)
+        candidates.append((-len(vars), -mass, i, j, tuple(vars)))
     candidates.sort()
     uf = _UnionFind(len(members))
     sepsets = []
-    for _, _, i, j, shared in candidates:
+    for _, _, i, j, sep in candidates:
         if uf.union(i, j):
-            sepsets.append(Sepset((i, j), shared))
+            sepsets.append(Sepset((i, j), sep))
     sepsets.extend(Sepset((0, j), ()) for j in range(1, len(members)) if uf.union(0, j))
     return sepsets
 
@@ -220,10 +261,10 @@ class JunctionTree:
         for c in cliques:
             for v in c.families:
                 self.family_clique[v] = c.id
-        self.var_clique: dict[int, int] = {}
-        for c in cliques:
-            for v in c.members:
-                self.var_clique.setdefault(v, c.id)
+        self._holding = _cliques_by_variable(net.n_variables, [c.members for c in cliques])
+        self._member_sets = [frozenset(c.members) for c in cliques]
+        self.var_clique: dict[int, int] = {v: ids[0] for v, ids in enumerate(self._holding)
+                                           if ids}
 
         self._sizes = [math.prod(net.arity(v) for v in c.members) for c in cliques]
         self._cpt_factors: dict[int, Potential] = {}
@@ -239,11 +280,7 @@ class JunctionTree:
 
     def clique_containing(self, vars: tuple[int, ...]) -> int | None:
         """Lowest-id clique containing all the given variables, if any."""
-        target = set(vars)
-        for c in self.cliques:
-            if target <= set(c.members):
-                return c.id
-        return None
+        return _lowest_clique_holding(self._holding, self._member_sets, vars) if vars else 0
 
     def charge(self, cid: int) -> Potential:
         """Evidence-free product of the CPTs assigned to the clique, as a dense table."""
@@ -374,17 +411,16 @@ def build_junction_tree(net: Network) -> JunctionTree:
     adj = moralize(net)
     order, fills = triangulate(adj)
     members = _elimination_cliques(adj, order, fills)
-    sepsets = _spanning_sepsets(net, members)
+    index = _cliques_by_variable(net.n_variables, members)
+    sepsets = _spanning_sepsets(net, members, index)
 
+    member_sets = [set(mem) for mem in members]
     families: list[list[int]] = [[] for _ in members]
     for v in range(net.n_variables):
-        fam = set(net.family(v))
-        for cid, mem in enumerate(members):
-            if fam <= set(mem):
-                families[cid].append(v)
-                break
-        else:  # unreachable: every family is completed by moralization
+        cid = _lowest_clique_holding(index, member_sets, net.family(v))
+        if cid is None:  # unreachable: every family is completed by moralization
             raise BnsenseError(f"no clique contains the family of variable {v}")
+        families[cid].append(v)
 
     cliques = [Clique(cid, mem, tuple(fams)) for cid, (mem, fams) in
                enumerate(zip(members, families))]

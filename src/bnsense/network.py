@@ -21,6 +21,8 @@ anything worse is rejected with the offending variable and row index named.
 
 from __future__ import annotations
 
+import copy
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -73,12 +75,7 @@ class Network:
                  cpts: list[np.ndarray]):
         self.variables: tuple[Variable, ...] = tuple(variables)
         self.parents: tuple[tuple[int, ...], ...] = tuple(tuple(p) for p in parents)
-        tables = []
-        for t in cpts:
-            t = np.asarray(t, dtype=float).copy()
-            t.setflags(write=False)
-            tables.append(t)
-        self.cpts: tuple[np.ndarray, ...] = tuple(tables)
+        self.cpts: tuple[np.ndarray, ...] = tuple(map(_frozen_table, cpts))
         self._ids = {v.name: i for i, v in enumerate(self.variables)}
         children: list[list[int]] = [[] for _ in self.variables]
         for v, pars in enumerate(self.parents):
@@ -161,27 +158,33 @@ class Network:
         return float(sum(math.log2(v.arity) for v in self.variables))
 
     def with_cpt(self, var: int, table: np.ndarray) -> "Network":
-        tables = list(self.cpts)
-        tables[var] = np.asarray(table, dtype=float)
-        return Network(list(self.variables), list(self.parents), tables)
+        """A copy with one CPT replaced; the structure and its order are shared."""
+        out = copy.copy(self)
+        out.cpts = self.cpts[:var] + (_frozen_table(table),) + self.cpts[var + 1:]
+        return out
+
+
+def _frozen_table(table) -> np.ndarray:
+    """A read-only float copy of a CPT."""
+    out = np.array(table, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def _topological_order(parents: tuple[tuple[int, ...], ...],
                        children: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Kahn's algorithm; raises on cycles naming the variables involved."""
+    """Kahn's algorithm, lowest ready id first; raises on cycles naming the variables involved."""
     n = len(parents)
-    remaining_parents = {v: set(parents[v]) for v in range(n)}
-    ready = sorted(v for v in range(n) if not remaining_parents[v])
+    waiting = [len(p) for p in parents]   # parents not yet placed; `children` lists each edge once
+    ready = [v for v in range(n) if not waiting[v]]
     order: list[int] = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         order.append(v)
-        freed = []
         for c in children[v]:
-            remaining_parents[c].discard(v)
-            if not remaining_parents[c]:
-                freed.append(c)
-        ready = sorted(ready + freed)
+            waiting[c] -= 1
+            if not waiting[c]:
+                heapq.heappush(ready, c)
     if len(order) != n:
         stuck = sorted(set(range(n)) - set(order))
         raise NetworkFormatError(f"cycle detected among variable ids {stuck}")

@@ -67,35 +67,28 @@ def _influenced_variables(net: Network, target: int, evidence_vars: set[int]) ->
     dummy *child* of the finding variable (virtual evidence), so no real
     variable is conditioned on: chains and forks stay open everywhere, and a
     collider is open iff the junction variable has a finding on or below it.
+
+    Active trails read the same in both directions, so one ball search from
+    the target finds them all: B is relevant iff the ball can leave B upward,
+    that is, it reached B from a child (a chain or fork at B; the target
+    counts as reached from below), or from a parent while B has a finding on
+    or below it (a collider at B).
     """
     has_observed_below = _ancestors_of_evidence(net, evidence_vars)
     relevant: set[int] = set()
-    for b in range(net.n_variables):
-        # ball starts at b, arriving from the imagined extra parent
-        seen: set[tuple[int, bool]] = set()
-        stack: list[tuple[int, bool]] = [(b, True)]  # (node, arrived-from-parent?)
-        hit = False
-        while stack:
-            node, from_parent = stack.pop()
-            if (node, from_parent) in seen:
-                continue
-            seen.add((node, from_parent))
-            if node == target:
-                hit = True
-                break
-            if from_parent:
-                for c in net.children(node):
-                    stack.append((c, True))
-                if node in has_observed_below:  # collider opened by a finding at/below
-                    for p in net.parents[node]:
-                        stack.append((p, False))
-            else:
-                for p in net.parents[node]:
-                    stack.append((p, False))
-                for c in net.children(node):
-                    stack.append((c, True))
-        if hit:
-            relevant.add(b)
+    seen: set[tuple[int, bool]] = set()
+    stack: list[tuple[int, bool]] = [(target, False)]  # (node, arrived-from-parent?)
+    while stack:
+        node, from_parent = stack.pop()
+        if (node, from_parent) in seen:
+            continue
+        seen.add((node, from_parent))
+        for c in net.children(node):
+            stack.append((c, True))
+        if not from_parent or node in has_observed_below:
+            relevant.add(node)
+            for p in net.parents[node]:
+                stack.append((p, False))
     return relevant
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bnsense.cli import SENS_OUT_HEADER, _csv, main
+from bnsense.cli import SENS_OUT_HEADER, _csv, _parser, main
 
 R1 = "tests/fixtures/r1.json"
 R2 = "tests/fixtures/r2.json"
@@ -232,6 +232,17 @@ class TestExitCodes:
             rc, _, err = run(capsys, *argv)
             assert rc == 1, argv
             assert err.startswith("usage error:"), argv
+
+    def test_shared_parser_gives_the_same_answers(self, capsys):
+        """The parser is built once per process; a call leaves nothing behind for the next."""
+        assert _parser() is _parser()
+        bad = ("sens-out", "--net", R1, "--target", "A")
+        good = TestSensOut.ARGS
+        first = [run(capsys, *argv) for argv in (bad, good, ("nonsense",))]
+        again = [run(capsys, *argv) for argv in (bad, good, ("nonsense",))]
+        assert first == again
+        assert [rc for rc, _, _ in first] == [1, 0, 1]
+        assert first[1][1] == SENS_OUT_GOLDEN
 
     def test_invalid_network_file(self, capsys, tmp_path):
         bad_sum = tmp_path / "rowsum.json"

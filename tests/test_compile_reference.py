@@ -1,0 +1,290 @@
+"""The indexed compile and the one-search relevance screen against their quadratic originals.
+
+The reference functions below are the straightforward versions the library
+used before: triangulation rescans every remaining vertex per elimination,
+the maximality filter compares every pair of candidate cliques, every clique
+pair is scored for a sepset, every clique is scanned for each family, and
+relevance screening runs one ball search per variable.  The library must
+give exactly the same results: same elimination order and fill edges, same
+cliques, sepsets and family placement, same relevant sets, same
+topological order.
+"""
+
+import numpy as np
+import pytest
+
+from bnsense import build_junction_tree
+from bnsense.jtree import _UnionFind, Sepset, moralize, triangulate
+from bnsense.network import Network, Variable
+from bnsense.oneway import _ancestors_of_evidence, _influenced_variables
+from bnsense.oracle import random_network
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def reference_triangulate(adj):
+    work = {v: set(ns) for v, ns in adj.items()}
+    order = []
+    fills = set()
+    remaining = sorted(work)
+    while remaining:
+        best, best_fill = None, None
+        for v in remaining:
+            ns = sorted(work[v])
+            count = sum(1 for i, a in enumerate(ns) for b in ns[i + 1:]
+                        if b not in work[a])
+            if best_fill is None or count < best_fill:
+                best, best_fill = v, count
+        v = best
+        ns = sorted(work[v])
+        for i, a in enumerate(ns):
+            for b in ns[i + 1:]:
+                if b not in work[a]:
+                    work[a].add(b)
+                    work[b].add(a)
+                    fills.add(frozenset((a, b)))
+        for a in ns:
+            work[a].discard(v)
+        del work[v]
+        remaining.remove(v)
+        order.append(v)
+    return tuple(order), fills
+
+
+def reference_elimination_cliques(adj, order, fills):
+    work = {v: set(ns) for v, ns in adj.items()}
+    for edge in fills:
+        a, b = tuple(edge)
+        work[a].add(b)
+        work[b].add(a)
+    candidates = []
+    for v in order:
+        candidates.append(frozenset({v} | work[v]))
+        for a in work[v]:
+            work[a].discard(v)
+        del work[v]
+    maximal = []
+    for c in sorted(set(candidates), key=len, reverse=True):
+        if not any(c < kept for kept in maximal):
+            maximal.append(c)
+    return sorted(tuple(sorted(c)) for c in maximal)
+
+
+def reference_spanning_sepsets(net, members):
+    candidates = []
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            shared = tuple(sorted(set(members[i]) & set(members[j])))
+            if not shared:
+                continue
+            mass = 1
+            for v in shared:
+                mass *= net.arity(v)
+            candidates.append((-len(shared), -mass, i, j, shared))
+    candidates.sort()
+    uf = _UnionFind(len(members))
+    sepsets = []
+    for _, _, i, j, shared in candidates:
+        if uf.union(i, j):
+            sepsets.append(Sepset((i, j), shared))
+    sepsets.extend(Sepset((0, j), ()) for j in range(1, len(members)) if uf.union(0, j))
+    return sepsets
+
+
+def reference_families(net, members):
+    families = [[] for _ in members]
+    for v in range(net.n_variables):
+        fam = set(net.family(v))
+        for cid, mem in enumerate(members):
+            if fam <= set(mem):
+                families[cid].append(v)
+                break
+    return [tuple(f) for f in families]
+
+
+def reference_clique_containing(members, vars):
+    target = set(vars)
+    for cid, mem in enumerate(members):
+        if target <= set(mem):
+            return cid
+    return None
+
+
+def reference_influenced_variables(net, target, evidence_vars):
+    has_observed_below = _ancestors_of_evidence(net, evidence_vars)
+    relevant = set()
+    for b in range(net.n_variables):
+        seen = set()
+        stack = [(b, True)]
+        hit = False
+        while stack:
+            node, from_parent = stack.pop()
+            if (node, from_parent) in seen:
+                continue
+            seen.add((node, from_parent))
+            if node == target:
+                hit = True
+                break
+            if from_parent:
+                for c in net.children(node):
+                    stack.append((c, True))
+                if node in has_observed_below:
+                    for p in net.parents[node]:
+                        stack.append((p, False))
+            else:
+                for p in net.parents[node]:
+                    stack.append((p, False))
+                for c in net.children(node):
+                    stack.append((c, True))
+        if hit:
+            relevant.add(b)
+    return relevant
+
+
+def reference_topological_order(parents, children):
+    n = len(parents)
+    remaining_parents = {v: set(parents[v]) for v in range(n)}
+    ready = sorted(v for v in range(n) if not remaining_parents[v])
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        freed = []
+        for c in children[v]:
+            remaining_parents[c].discard(v)
+            if not remaining_parents[c]:
+                freed.append(c)
+        ready = sorted(ready + freed)
+    return tuple(order)
+
+
+# ---------------------------------------------------------------------------
+# comparison helpers
+
+
+def assert_tree_matches_reference(net, reference_order=None):
+    """Same order, fills, cliques, sepsets and families as the reference pipeline.
+
+    `reference_order` stands in for the reference triangulation where that is
+    too slow to run; the caller then checks the order separately.
+    """
+    adj = moralize(net)
+    order, fills = triangulate(adj)
+    if reference_order is None:
+        reference_order = reference_triangulate(adj)
+    assert (order, fills) == reference_order
+    members = reference_elimination_cliques(adj, order, fills)
+    tree = build_junction_tree(net)
+    assert [c.members for c in tree.cliques] == members
+    assert tree.sepsets == reference_spanning_sepsets(net, members)
+    assert [c.families for c in tree.cliques] == reference_families(net, members)
+    return tree
+
+
+def assert_relevance_matches_reference(net, target, evidence_vars):
+    assert (_influenced_variables(net, target, evidence_vars)
+            == reference_influenced_variables(net, target, evidence_vars))
+
+
+def _structure(parents, arities):
+    variables = [Variable(f"X{i}", tuple(f"s{k}" for k in range(a)))
+                 for i, a in enumerate(arities)]
+    tables = []
+    for v, pars in enumerate(parents):
+        rows = int(np.prod([arities[p] for p in pars], dtype=int))
+        tables.append(np.full((rows, arities[v]), 1.0 / arities[v]))
+    return Network(variables, parents, tables)
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+class TestRandomNetworks:
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_compile_matches_reference(self, connected):
+        rng = np.random.default_rng(31 if connected else 32)
+        for _ in range(120):
+            net = random_network(rng, n_vars=int(rng.integers(3, 40)), max_states=4,
+                                 max_parents=int(rng.integers(1, 5)), connected=connected)
+            tree = assert_tree_matches_reference(net)
+            members = [c.members for c in tree.cliques]
+            for _ in range(10):
+                k = int(rng.integers(1, 4))
+                vars = tuple(sorted(int(v) for v in
+                                    rng.choice(net.n_variables, size=k, replace=False)))
+                assert tree.clique_containing(vars) == reference_clique_containing(members, vars)
+            assert tree.var_clique == {v: reference_clique_containing(members, (v,))
+                                       for v in range(net.n_variables)}
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_relevance_matches_reference(self, connected):
+        rng = np.random.default_rng(33 if connected else 34)
+        for _ in range(120):
+            net = random_network(rng, n_vars=int(rng.integers(3, 25)),
+                                 max_parents=3, connected=connected)
+            k = int(rng.integers(0, min(5, net.n_variables) + 1))
+            evidence = {int(v) for v in rng.choice(net.n_variables, size=k, replace=False)}
+            for target in range(net.n_variables):
+                assert_relevance_matches_reference(net, target, evidence)
+
+    def test_topological_order_matches_reference(self):
+        rng = np.random.default_rng(35)
+        for _ in range(100):
+            net = random_network(rng, n_vars=int(rng.integers(1, 40)),
+                                 connected=bool(rng.integers(2)))
+            assert net.topological_order() == reference_topological_order(
+                net.parents, tuple(net.children(v) for v in range(net.n_variables)))
+
+
+class TestMixedArities:
+    def test_sepset_mass_ties(self):
+        """Cliques sharing equally many variables of different arities."""
+        rng = np.random.default_rng(36)
+        for _ in range(40):
+            n = int(rng.integers(6, 30))
+            parents = [tuple(sorted(int(p) for p in rng.choice(
+                v, size=int(rng.integers(1 if v else 0, min(v, 3) + 1)), replace=False)))
+                if v else () for v in range(n)]
+            arities = [int(a) for a in rng.integers(2, 6, size=n)]
+            assert_tree_matches_reference(_structure(parents, arities))
+
+    def test_with_cpt_keeps_structure(self):
+        net = random_network(np.random.default_rng(37), n_vars=12)
+        table = np.array(net.cpts[5])
+        table[0] = table[0][::-1]
+        moved = net.with_cpt(5, table)
+        assert moved.topological_order() == net.topological_order()
+        assert [moved.children(v) for v in range(12)] == [net.children(v) for v in range(12)]
+        assert np.array_equal(moved.cpts[5], table) and not moved.cpts[5].flags.writeable
+        assert all(moved.cpts[v] is net.cpts[v] for v in range(12) if v != 5)
+        assert np.array_equal(net.cpts[5][0], table[0][::-1])
+
+
+class TestLargeStructures:
+    def test_long_chain(self):
+        n = 2000
+        net = _structure([()] + [(v - 1,) for v in range(1, n)], [2 + v % 3 for v in range(n)])
+        assert_tree_matches_reference(net)
+        for target, evidence in [(650, set()), (0, {1000})]:
+            assert_relevance_matches_reference(net, target, evidence)
+
+    def test_star(self):
+        """A hub with 999 children: one sepset candidate per pair of its 999 cliques.
+
+        The reference triangulation rescans the hub's 998-neighbour fill count
+        on every elimination, which takes many seconds at this size.  It is
+        run on a 300-variable star instead; at 1000 the order is stated
+        directly and the rest of the pipeline is held to the reference.  Every
+        leaf has fill 0, so the leaves go in id order until one is left; the
+        hub then has fill 0 too and goes before it on the lower id.
+        """
+        small = _structure([()] + [(0,)] * 299, [3] + [2] * 299)
+        assert_tree_matches_reference(small)
+        n = 1000
+        net = _structure([()] + [(0,)] * (n - 1), [3] + [2 + v % 2 for v in range(1, n)])
+        assert_tree_matches_reference(net, (tuple(range(1, n - 1)) + (0, n - 1), set()))
+        for target, evidence in [(0, set()), (500, set()), (500, {7}), (0, {1, 999})]:
+            assert_relevance_matches_reference(net, target, evidence)
