@@ -23,6 +23,12 @@ incoming messages), in the style of Madsen & Jensen's lazy propagation
 variables a caller needs: a sepset for a message, one variable for a
 marginal, a family for CPT-row masses.  Finding vectors stay separate
 factors, which is what makes retracting a single finding cheap.
+
+After a full propagation every sepset and every clique holds
+p(members, e), so `JunctionTree.joint` reads p(vars, e) from the cheapest
+of them that holds `vars`: often a sepset, whose read is one einsum of its
+two messages, rather than a large clique.  A variable-to-sepsets index,
+built on the first read, finds that holder.
 """
 
 from __future__ import annotations
@@ -185,7 +191,7 @@ class _UnionFind:
 
 
 def _cliques_by_variable(n_variables: int, members: list[tuple[int, ...]]) -> list[list[int]]:
-    """For each variable, the ids of the cliques holding it, in increasing order."""
+    """For each variable, the ids of the cliques (or sepsets) holding it, ascending."""
     index: list[list[int]] = [[] for _ in range(n_variables)]
     for cid, mem in enumerate(members):
         for v in mem:
@@ -193,10 +199,10 @@ def _cliques_by_variable(n_variables: int, members: list[tuple[int, ...]]) -> li
     return index
 
 
-def _lowest_clique_holding(index: list[list[int]], member_sets, vars) -> int | None:
-    """Lowest id among the cliques holding every one of the (nonempty) `vars`, if any."""
+def _all_holding(index: list[list[int]], member_sets, vars):
+    """Ids, in increasing order, of the sets holding every one of the (nonempty) `vars`."""
     holding = min((index[v] for v in vars), key=len)
-    return next((cid for cid in holding if member_sets[cid].issuperset(vars)), None)
+    return (cid for cid in holding if member_sets[cid].issuperset(vars))
 
 
 def _spanning_sepsets(net: Network, members: list[tuple[int, ...]],
@@ -267,6 +273,8 @@ class JunctionTree:
                                            if ids}
 
         self._sizes = [math.prod(net.arity(v) for v in c.members) for c in cliques]
+        self._sepset_index: tuple | None = None   # built by the first `joint`
+        self._holders: dict[tuple[int, ...], tuple[bool, int]] = {}
         self._cpt_factors: dict[int, Potential] = {}
         self._paths: dict[tuple, list] = {}
         self.findings: dict[int, np.ndarray] = {}
@@ -280,7 +288,31 @@ class JunctionTree:
 
     def clique_containing(self, vars: tuple[int, ...]) -> int | None:
         """Lowest-id clique containing all the given variables, if any."""
-        return _lowest_clique_holding(self._holding, self._member_sets, vars) if vars else 0
+        return next(_all_holding(self._holding, self._member_sets, vars), None) if vars else 0
+
+    def holder(self, vars: tuple[int, ...]) -> tuple[bool, int]:
+        """(is a clique, id) of the cheapest holder of the sorted, nonempty `vars`.
+
+        The holder is the sepset or clique with the fewest table entries that
+        contains every one of `vars`; ties go to sepsets before cliques, then
+        to the lowest id.  An empty sepset holds no variable, so it is never
+        chosen.  Holders depend only on the structure and are cached for the
+        life of the tree.
+        """
+        found = self._holders.get(vars)
+        if found is None:
+            if self._sepset_index is None:
+                members = [s.members for s in self.sepsets]
+                self._sepset_index = (
+                    _cliques_by_variable(self.net.n_variables, members),
+                    [frozenset(mem) for mem in members],
+                    [math.prod(self.net.arity(v) for v in mem) for mem in members])
+            index, member_sets, sizes = self._sepset_index
+            candidates = [(sizes[s], False, s) for s in _all_holding(index, member_sets, vars)]
+            candidates.extend((self._sizes[c], True, c)
+                              for c in _all_holding(self._holding, self._member_sets, vars))
+            found = self._holders[vars] = min(candidates)[1:]
+        return found
 
     def charge(self, cid: int) -> Potential:
         """Evidence-free product of the CPTs assigned to the clique, as a dense table."""
@@ -306,8 +338,7 @@ class JunctionTree:
 
     def attached_findings(self, cid: int):
         """(var, vector) pairs whose finding is multiplied in at this clique."""
-        out = [(v, vec) for v, vec in sorted(self.findings.items())
-               if self.family_clique[v] == cid]
+        out = [(v, self.findings[v]) for v in self.cliques[cid].families if v in self.findings]
         out.extend(sorted(self.injected.get(cid, {}).items()))
         return out
 
@@ -362,17 +393,34 @@ class JunctionTree:
 
     def sepset_potential(self, s_idx: int) -> Potential:
         """Product of the two directed messages; equals p(members, e) when consistent."""
+        return self._sepset_product(s_idx, self.sepsets[s_idx].members)
+
+    def _sepset_product(self, s_idx: int, keep: tuple[int, ...]) -> Potential:
+        """The two directed messages of a sepset, multiplied and summed onto `keep`.
+
+        A message not yet sent counts as a table of ones.
+        """
         sep = self.sepsets[s_idx]
         a, b = sep.cliques
-        fwd = self.messages.get((a, b))
-        bwd = self.messages.get((b, a))
-        if fwd is None and bwd is None:
-            return Potential.ones(self.net, sep.members)
-        if fwd is None:
-            return bwd.copy()
-        if bwd is None:
-            return fwd.copy()
-        return fwd.multiply(bwd)
+        axes = list(range(len(sep.members)))
+        args = []
+        for key in ((a, b), (b, a)):
+            msg = self.messages.get(key)
+            args += (msg.table if msg is not None else
+                     np.ones(tuple(self.net.arity(v) for v in sep.members)), axes)
+        args.append([sep.members.index(v) for v in keep])
+        return Potential(keep, np.einsum(*args))
+
+    def joint(self, vars: tuple[int, ...]) -> Potential:
+        """p(vars, e) for sorted, nonempty `vars`, read from their cheapest holder.
+
+        After a full propagation every sepset and every clique holds
+        p(members, e), so any holder gives the same table; the smallest one
+        costs least.  A sepset read is one einsum of its two messages, a
+        clique read one `local_product`.
+        """
+        is_clique, idx = self.holder(vars)
+        return self.local_product(idx, vars) if is_clique else self._sepset_product(idx, vars)
 
     # -- maintenance -----------------------------------------------------------
 
@@ -417,7 +465,7 @@ def build_junction_tree(net: Network) -> JunctionTree:
     member_sets = [set(mem) for mem in members]
     families: list[list[int]] = [[] for _ in members]
     for v in range(net.n_variables):
-        cid = _lowest_clique_holding(index, member_sets, net.family(v))
+        cid = next(_all_holding(index, member_sets, net.family(v)), None)
         if cid is None:  # unreachable: every family is completed by moralization
             raise BnsenseError(f"no clique contains the family of variable {v}")
         families[cid].append(v)

@@ -6,9 +6,9 @@ evidence probability is multilinear — one coefficient per parameter subset.
 Two routes compute the coefficients:
 
 * when every parameter's family lives inside one clique, a single propagation
-  suffices: each entry of that clique's potential is classified by which
-  parameter contexts hold and which designated states it matches, and the
-  2^n coefficients come out of signed local sums;
+  suffices: each entry of p(U, e), for U the union of the families, is
+  classified by which parameter contexts hold and which designated states it
+  matches, and the 2^n coefficients come out of signed local sums;
 * in general, a linear system over the 2^n coefficients is assembled from
   whatever lower-order analyses are available plus full propagations at
   deterministic fresh parameter settings, extended until full rank.
@@ -85,9 +85,12 @@ def _on_axis(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
 
 def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
                      evidence: Evidence | None = None) -> MultilinearFunction:
-    """All 2^n coefficients from one propagation, read off one clique.
+    """All 2^n coefficients from one propagation, read off one table.
 
-    Every entry of the clique potential carries each parameter's current row
+    The route needs one clique that holds U, the union of the parameters'
+    families; it propagates toward that clique and reads p(U, e) from U's
+    cheapest holder (`JunctionTree.joint`), which is no larger than the
+    clique.  Every entry of that table carries each parameter's current row
     value as a factor exactly when that parameter's context (its parent
     configuration) holds in the entry.  Dividing the factor out and expanding
     the co-variation line per held context turns each entry into signed
@@ -96,16 +99,14 @@ def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
     """
     net = tree.net
     _require_analyzable(net, params)
-    needed = set()
-    for ref in params:
-        needed.update(net.family(ref.variable))
-    home = tree.clique_containing(tuple(sorted(needed)))
+    needed = tuple(sorted({v for ref in params for v in net.family(ref.variable)}))
+    home = tree.clique_containing(needed)
     if home is None:
         raise CliqueMembershipError(
             "no single clique contains all the parameter families")
 
     propagate_full(tree, evidence, root=home)
-    pot = tree.clique_potential(home)
+    pot = tree.joint(needed)
 
     # Classify every entry at once.  Per parameter, an entry is outside its
     # context (digit 0), matches the designated state (1) or disagrees with

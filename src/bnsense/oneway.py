@@ -2,12 +2,12 @@
 
 The posterior of interest, as a function of a single CPT entry under
 proportional co-variation, is a quotient of two lines.  Both lines are read
-off clique potentials:
+off the propagated junction tree:
 
 * the *local-extraction* route computes a line's slope and intercept directly
-  from the parameter's family-clique potential summed onto its family (one
-  contraction per variable, after one inward and at most two outward
-  propagations for every parameter at once);
+  from p(family, e) of the parameter's variable, read from the family's
+  cheapest holder in the tree (one read per variable, after one inward and
+  at most two outward propagations for every parameter at once);
 * the *two-point* route propagates at a second parameter value and fits the
   line through the two evaluations (used when all posteriors for one
   parameter are wanted).
@@ -117,10 +117,10 @@ def relevant_parameters(net: Network, query: QueryRef,
 
 def _family_marginal(tree: JunctionTree, var: int,
                      cache: dict[int, Potential]) -> Potential:
-    """The family clique's current product summed onto the variable's family."""
+    """p(family, e) of the variable, read from the family's cheapest holder in the tree."""
     marg = cache.get(var)
     if marg is None:
-        marg = cache[var] = tree.local_product(tree.family_clique[var], tree.net.family(var))
+        marg = cache[var] = tree.joint(tree.net.family(var))
     return marg
 
 
@@ -135,11 +135,10 @@ def _row_mass_by_state(tree: JunctionTree, marg: Potential, var: int,
 def _extract_lines(tree: JunctionTree, params: list[ParameterRef]):
     """Line coefficients of the tree's current total mass in each parameter.
 
-    Requires a consistent tree.  For parameter p(b_i | pi) of variable B with
-    family clique K, the rows at (B, pi) of K's potential summed onto B's
-    family split the clique total into
-    the part carrying the parameter, the part co-varying with it, and the
-    rest; slope and intercept follow by dividing out the current row values.
+    Requires a consistent tree.  For parameter p(b_i | pi) of variable B, the
+    rows at (B, pi) of p(family(B), e) split the total mass into the part
+    carrying the parameter, the part co-varying with it, and the rest; slope
+    and intercept follow by dividing out the current row values.
     Degenerate parameters (value 1) are reported, not silently dropped.
     """
     lines: dict[ParameterRef, LinearCoeffs] = {}
@@ -206,7 +205,7 @@ def one_output_all_params_m2(tree: JunctionTree, query: QueryRef,
     One inward pass toward the query clique, one outward pass with the query
     indicator, one outward pass with the complementary finding.  Each pass
     evaluates p(target-or-complement, e) at the current parameter value and,
-    by reweighting the family-clique potential with a co-varied row, at a
+    by reweighting the family's mass p(family, e) with a co-varied row, at a
     second value; the two points fix the line.  Numerator lines come from the
     indicator pass, denominator lines are the sum over the two passes.
     """

@@ -11,11 +11,14 @@ content, multiply into the receiver) with the division cancelled symbolically
 without dividing by zeros it created.
 
 After collect + distribute with findings entered, every clique potential
-equals p(members, e) and every sepset potential equals p(members, e).
-Marginals and root totals are contracted from the same factor lists.  The
-finding vectors attached at a clique are multiplied in lazily, so dropping one
-vector from the registry and replaying a single outward pass from its
-attachment clique yields the tree for the reduced evidence set.
+equals p(members, e) and every sepset potential equals p(members, e).  A
+marginal is therefore read from the cheapest place that holds the variable
+(`JunctionTree.joint`): the smallest such sepset or clique, whose two messages
+or factor list are summed onto it.  Root totals are contracted from the root's
+factor list.  The finding vectors attached at a clique are multiplied in
+lazily, so dropping one vector from the registry and replaying a single
+outward pass from its attachment clique yields the tree for the reduced
+evidence set.
 """
 
 from __future__ import annotations
@@ -115,14 +118,14 @@ def evidence_probability(tree: JunctionTree) -> float:
 
 
 def marginal(tree: JunctionTree, var: int) -> np.ndarray:
-    """p(var, e) read from the lowest-id clique containing the variable.
+    """p(var, e) read from the smallest sepset or clique holding the variable.
 
     Always a fresh array: a clique holding nothing but the variable's own CPT
     would otherwise hand back a read-only view of that CPT.
     """
     if not tree.consistent:
         raise BnsenseError("tree is not consistent; propagate first")
-    return tree.local_product(tree.var_clique[var], (var,)).table.copy()
+    return tree.joint((var,)).table.copy()
 
 
 def retract_finding(tree: JunctionTree, var: int) -> None:
