@@ -394,7 +394,7 @@ def _run_sens_n(args) -> int:
         mf = same_clique_nway(tree, refs, evidence)
         counts = tree.stats.snapshot()
     else:
-        result = general_nway(net, refs, evidence)
+        result = general_nway(tree, refs, evidence)
         mf, counts = result.function, result.stats
     _print_stats(args, counts)
 

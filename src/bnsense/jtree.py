@@ -1,11 +1,14 @@
 """Junction tree construction: moralization, triangulation, cliques, sepsets.
 
 The pipeline is the classical one — moralize the DAG, triangulate greedily by
-minimum fill (lowest variable id on ties), read the maximal cliques off the
-elimination, and connect them by a maximum-weight spanning tree over candidate
-sepsets.  A disconnected network still compiles to one tree: its parts are
-joined by empty sepsets.  Every tie-break is fixed so that identical networks
-always produce identical trees.
+weighted minimum fill (a fill edge costs the product of its ends' arities;
+lowest variable id on ties), read the maximal cliques off the elimination,
+and connect them by a maximum-weight spanning tree over candidate sepsets.
+Weighting the fill keeps the total clique state space small when arities
+are mixed; with one arity throughout the order is plain min-fill's.  A
+disconnected network still compiles to one tree: its parts are joined by
+empty sepsets.  Every tie-break is fixed so that identical networks always
+produce identical trees.
 
 Each step does near-linear work on a sparse network.  Triangulation keeps
 the fill scores in a heap and rescores only the vertices an elimination
@@ -22,7 +25,10 @@ incoming messages), in the style of Madsen & Jensen's lazy propagation
 (AIJ 1999).  `JunctionTree.local_product` sums that list straight onto the
 variables a caller needs: a sepset for a message, one variable for a
 marginal, a family for CPT-row masses.  Finding vectors stay separate
-factors, which is what makes retracting a single finding cheap.
+factors, which is what makes retracting a single finding cheap; likewise a
+co-varied CPT row changes only its family clique's factor list, so an extra
+n-way propagation re-sends only the messages directed away from the
+parameters' family cliques.
 
 After a full propagation every sepset and every clique holds
 p(members, e), so `JunctionTree.joint` reads p(vars, e) from the cheapest
@@ -36,6 +42,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,25 +108,35 @@ def moralize(net: Network) -> dict[int, set[int]]:
     return adj
 
 
-def triangulate(adj: dict[int, set[int]]) -> tuple[tuple[int, ...], set[frozenset[int]]]:
-    """Greedy min-fill elimination; returns (order, fill edges added).
+def triangulate(adj: dict[int, set[int]],
+                arities: Sequence[int]) -> tuple[tuple[int, ...], set[frozenset[int]]]:
+    """Greedy weighted min-fill elimination; returns (order, fill edges added).
 
-    Ties on fill count go to the lowest variable id, making the order (and
-    everything downstream) deterministic.  Scores sit in a heap of
-    (fill, id) entries, invalidated lazily.  Eliminating v changes the score
-    of v's neighbours (they lose v and gain fill edges) and of every vertex
-    adjacent to both ends of a fill edge (that pair is no longer missing);
-    only those are rescored, so a sparse graph costs near-linear time.
+    `arities[v]` is the number of states of vertex v.  The score of v is its
+    weighted fill: the sum, over the pairs {a, b} of v's neighbours that are
+    not adjacent, of arities[a] * arities[b].  Weighting each fill edge by
+    the table it would multiply into keeps the total clique state space small
+    on mixed arities (Kjærulff, *Triangulation of graphs — algorithms giving
+    small total state space*, Aalborg R-90-09, 1990); when every vertex has
+    the same arity k the score is k² times the fill count, so the order is
+    plain min-fill's.  Ties go to the lowest variable id, making the order
+    (and everything downstream) deterministic.
+
+    Scores sit in a heap of (score, id) entries, invalidated lazily.
+    Eliminating v changes the score of v's neighbours (they lose v and gain
+    fill edges) and of every vertex adjacent to both ends of a fill edge
+    (that pair is no longer missing); only those are rescored, so a sparse
+    graph costs near-linear time.
     """
     work = {v: set(ns) for v, ns in adj.items()}
-    score = {v: _fill_count(work, v) for v in work}
-    heap = [(fill, v) for v, fill in score.items()]
+    score = {v: _fill_weight(work, arities, v) for v in work}
+    heap = [(weight, v) for v, weight in score.items()]
     heapq.heapify(heap)
     order: list[int] = []
     fills: set[frozenset[int]] = set()
     while heap:
-        fill, v = heapq.heappop(heap)
-        if v not in work or score[v] != fill:
+        weight, v = heapq.heappop(heap)
+        if v not in work or score[v] != weight:
             continue
         ns = sorted(work.pop(v))
         touched = set(ns)
@@ -133,18 +150,24 @@ def triangulate(adj: dict[int, set[int]]) -> tuple[tuple[int, ...], set[frozense
                     work[b].add(a)
                     fills.add(frozenset((a, b)))
         for u in touched:
-            fill = _fill_count(work, u)
-            if fill != score[u]:
-                score[u] = fill
-                heapq.heappush(heap, (fill, u))
+            weight = _fill_weight(work, arities, u)
+            if weight != score[u]:
+                score[u] = weight
+                heapq.heappush(heap, (weight, u))
         order.append(v)
     return tuple(order), fills
 
 
-def _fill_count(work: dict[int, set[int]], v: int) -> int:
-    """Number of non-adjacent pairs among v's neighbours."""
+def _fill_weight(work: dict[int, set[int]], arities: Sequence[int], v: int) -> int:
+    """Sum of arities[a] * arities[b] over the non-adjacent pairs {a, b} of v's neighbours."""
     ns = work[v]
-    return sum(len(ns) - 1 - len(work[a] & ns) for a in ns) // 2
+    arity = arities.__getitem__
+    total = sum(map(arity, ns))
+    weight = 0
+    for a in ns:
+        k = arity(a)
+        weight += k * (total - k - sum(map(arity, work[a] & ns)))
+    return weight // 2
 
 
 def _elimination_cliques(adj: dict[int, set[int]], order: tuple[int, ...],
@@ -334,6 +357,15 @@ class JunctionTree:
         self._cpt_factors.pop(ref.variable, None)
         self.consistent = False
 
+    def restore_network(self, net: Network) -> None:
+        """Swap back a network of the same structure, such as the one before
+        `set_parameter` calls; drops the cached CPT factors of changed tables."""
+        for v, table in enumerate(net.cpts):
+            if table is not self.net.cpts[v]:
+                self._cpt_factors.pop(v, None)
+        self.net = net
+        self.consistent = False
+
     # -- finding registry ----------------------------------------------------
 
     def attached_findings(self, cid: int):
@@ -457,7 +489,7 @@ def build_junction_tree(net: Network) -> JunctionTree:
     if net.n_variables == 0:
         raise NetworkFormatError("cannot build a junction tree for an empty network")
     adj = moralize(net)
-    order, fills = triangulate(adj)
+    order, fills = triangulate(adj, net.arities)
     members = _elimination_cliques(adj, order, fills)
     index = _cliques_by_variable(net.n_variables, members)
     sepsets = _spanning_sepsets(net, members, index)

@@ -74,6 +74,7 @@ class Network:
     def __init__(self, variables: list[Variable], parents: list[tuple[int, ...]],
                  cpts: list[np.ndarray]):
         self.variables: tuple[Variable, ...] = tuple(variables)
+        self.arities: tuple[int, ...] = tuple(v.arity for v in self.variables)
         self.parents: tuple[tuple[int, ...], ...] = tuple(tuple(p) for p in parents)
         self.cpts: tuple[np.ndarray, ...] = tuple(map(_frozen_table, cpts))
         self._ids = {v.name: i for i, v in enumerate(self.variables)}
@@ -97,7 +98,7 @@ class Network:
             raise NetworkFormatError(f"unknown variable {name!r}") from None
 
     def arity(self, var: int) -> int:
-        return self.variables[var].arity
+        return self.arities[var]
 
     def state_index(self, var: int, label: str) -> int:
         try:
@@ -267,20 +268,21 @@ def network_from_dict(doc: dict) -> Network:
             got = len(rows) if isinstance(rows, list) else "none"
             raise NetworkFormatError(
                 f"variable {name!r}: expected {expected_rows} cpt rows, got {got}")
-        table = np.empty((expected_rows, arity), dtype=float)
         for r, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != arity:
                 raise NetworkFormatError(
                     f"variable {name!r}, row {r}: expected {arity} entries")
-            vals = np.asarray(row, dtype=float)
-            if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-                raise NetworkFormatError(
-                    f"variable {name!r}, row {r}: entries must be finite and nonnegative")
-            total = float(vals.sum())
-            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-                raise NetworkFormatError(
-                    f"variable {name!r}, row {r}: sum {total!r} outside tolerance")
-            table[r] = vals / total
+        try:
+            table = np.array(rows, dtype=float)
+        except (TypeError, ValueError):
+            table = None
+        if table is None or table.shape != (expected_rows, arity):
+            raise NetworkFormatError(f"variable {name!r}: cpt entries must be numbers")
+        totals = table.sum(axis=1)
+        # nonnegative entries with finite row sums are finite themselves
+        if not (table.min() >= 0 and (np.abs(totals - 1.0) <= ROW_SUM_TOLERANCE).all()):
+            raise _row_error(name, table, totals)
+        table /= totals[:, None]
         parents[var] = tuple(par_ids)
         tables[var] = table
 
@@ -289,6 +291,17 @@ def network_from_dict(doc: dict) -> Network:
             raise NetworkFormatError(f"variable {variables[var].name!r} has no cpt")
 
     return Network(variables, parents, tables)  # type: ignore[arg-type]
+
+
+def _row_error(name: str, table: np.ndarray, totals: np.ndarray) -> NetworkFormatError:
+    """The error for the first row of a cpt with bad entries or a bad sum."""
+    bad_entries = (table < 0).any(axis=1) | ~np.isfinite(table).all(axis=1)
+    r = int(np.argmax(bad_entries | (np.abs(totals - 1.0) > ROW_SUM_TOLERANCE)))
+    if bad_entries[r]:
+        return NetworkFormatError(
+            f"variable {name!r}, row {r}: entries must be finite and nonnegative")
+    return NetworkFormatError(
+        f"variable {name!r}, row {r}: sum {float(totals[r])!r} outside tolerance")
 
 
 def network_to_dict(net: Network) -> dict:

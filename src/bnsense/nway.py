@@ -10,8 +10,9 @@ Two routes compute the coefficients:
   classified by which parameter contexts hold and which designated states it
   matches, and the 2^n coefficients come out of signed local sums;
 * in general, a linear system over the 2^n coefficients is assembled from
-  whatever lower-order analyses are available plus full propagations at
-  deterministic fresh parameter settings, extended until full rank.
+  whatever lower-order analyses are available plus propagations at
+  deterministic fresh parameter settings, extended until full rank; each
+  extra propagation re-sends only the messages the co-varied rows reach.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import numpy as np
 from .errors import (BnsenseError, CliqueMembershipError, DegenerateParameterError,
                      DependentParametersError, RankDeficiencyError)
 from .functions import MultilinearFunction, evaluate_multilinear
-from .jtree import JunctionTree, build_junction_tree
+from .jtree import JunctionTree
 from .network import Evidence, Network, ParameterRef
 from .oneway import _extract_lines
-from .propagation import evidence_probability, propagate_full
+from .propagation import evidence_probability, propagate_full, replay
 
 __all__ = ["check_independent", "same_clique_nway", "general_nway",
            "extra_propagation_budget", "NWayResult", "evaluate_multilinear"]
@@ -290,33 +291,35 @@ def _eliminate(matrix: np.ndarray, rhs: np.ndarray, tol: float = 1e-10):
     return rank, x
 
 
-def general_nway(net: Network, params: list[ParameterRef],
+def general_nway(tree: JunctionTree, params: list[ParameterRef],
                  evidence: Evidence | None = None,
                  lower_order: list[MultilinearFunction] | None = None,
                  rank_tolerance: float = 1e-10) -> NWayResult:
     """Assemble and solve the coefficient system for arbitrary parameter sets.
 
-    The initial propagation at the operating point contributes the evidence
-    probability and every parameter's line there; given lower-order analyses
-    contribute their coefficient equations.  While the system is
-    rank-deficient, further full propagations run at deterministic fresh
-    settings, up to a hard cap of 2^n, each adding its value and line
-    equations.  The network is compiled once; each setting co-varies the
-    parameters' rows in place on that tree.
+    The initial full propagation at the operating point contributes the
+    evidence probability and every parameter's line there; given lower-order
+    analyses contribute their coefficient equations.  While the system is
+    rank-deficient, further propagations run at deterministic fresh settings,
+    up to a hard cap of 2^n, each adding its value and line equations.  Each
+    setting co-varies the parameters' rows in place on the caller's tree and
+    re-sends only the messages those rows reach (`replay`): the inward ones
+    along the subtree joining the parameters' family cliques, then one
+    outward pass.  The tree gets its operating-point network back on return.
     """
+    net = tree.net
     _require_analyzable(net, params)
     n = len(params)
     cap = 1 << n
     operating = np.array([net.parameter_value(ref) for ref in params])
+    homes = {tree.family_clique[ref.variable] for ref in params}
 
     index_of = {ref: i for i, ref in enumerate(params)}
 
     rows: list[np.ndarray] = []
     rhs: list[float] = []
-    tree = build_junction_tree(net)
 
-    def add_propagation(setting: np.ndarray) -> None:
-        propagate_full(tree, evidence)
+    def add_rows(setting: np.ndarray) -> None:
         rows.append(_value_row(n, setting))
         rhs.append(evidence_probability(tree))
         lines, skipped = _extract_lines(tree, params)  # looks up current row values
@@ -331,7 +334,8 @@ def general_nway(net: Network, params: list[ParameterRef],
             rows.append(intercept_row)
             rhs.append(line.intercept)
 
-    add_propagation(operating)
+    propagate_full(tree, evidence)
+    add_rows(operating)
 
     for mf in lower_order or []:
         indices = []
@@ -347,19 +351,23 @@ def general_nway(net: Network, params: list[ParameterRef],
     budget = extra_propagation_budget(n, len(lower_order[0].params)) if lower_order else (
         extra_propagation_budget(n, 1))
     extra = 0
-    while True:
-        rank, solution = _eliminate(np.array(rows), np.array(rhs), rank_tolerance)
-        if solution is not None:
-            break
-        if extra >= cap:
-            raise RankDeficiencyError(
-                f"coefficient system stuck at rank {rank} of {1 << n} after "
-                f"{extra} extra propagations")
-        extra += 1
-        setting = _extension_setting(extra, operating)
-        for i, ref in enumerate(params):
-            tree.set_parameter(ref, float(setting[i]))
-        add_propagation(setting)
+    try:
+        while True:
+            rank, solution = _eliminate(np.array(rows), np.array(rhs), rank_tolerance)
+            if solution is not None:
+                break
+            if extra >= cap:
+                raise RankDeficiencyError(
+                    f"coefficient system stuck at rank {rank} of {1 << n} after "
+                    f"{extra} extra propagations")
+            extra += 1
+            setting = _extension_setting(extra, operating)
+            for i, ref in enumerate(params):
+                tree.set_parameter(ref, float(setting[i]))
+            replay(tree, homes)
+            add_rows(setting)
+    finally:
+        tree.restore_network(net)
 
     residual = float(np.max(np.abs(np.array(rows) @ solution - np.array(rhs))))
     if residual > 1e-6:

@@ -18,7 +18,9 @@ or factor list are summed onto it.  Root totals are contracted from the root's
 factor list.  The finding vectors attached at a clique are multiplied in
 lazily, so dropping one vector from the registry and replaying a single
 outward pass from its attachment clique yields the tree for the reduced
-evidence set.
+evidence set.  The same replay covers a change at several cliques, such as
+co-varied CPT rows: only the messages directed away from a changed clique
+are sent again (`replay`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .jtree import JunctionTree, PropagationStats
 from .network import Evidence, check_finding
 
 __all__ = ["PropagationStats", "enter_finding", "collect", "distribute",
-           "propagate_full", "evidence_probability", "marginal", "retract_finding"]
+           "propagate_full", "evidence_probability", "marginal", "replay",
+           "retract_finding"]
 
 
 def enter_finding(tree: JunctionTree, var: int, vector) -> None:
@@ -126,6 +129,32 @@ def marginal(tree: JunctionTree, var: int) -> np.ndarray:
     if not tree.consistent:
         raise BnsenseError("tree is not consistent; propagate first")
     return tree.joint((var,)).table.copy()
+
+
+def replay(tree: JunctionTree, changed: set[int]) -> None:
+    """Restore consistency after the factors of the `changed` cliques changed.
+
+    Only the messages directed away from a changed clique depend on it.
+    Rooted at the lowest changed clique, those are the inward messages along
+    the subtree joining the changed cliques, and every outward message: one
+    collect over that subtree (none for a single clique, as in
+    `retract_finding`), then one distribute.  Messages directed toward the
+    subtree from outside it never saw the change and are kept.
+    """
+    root = min(changed)
+    order, parent = _bfs(tree, root)
+    joining: set[int] = set()
+    for cid in changed:
+        while cid != root and cid not in joining:
+            joining.add(cid)
+            cid = parent[cid][0]
+    if joining:
+        for cid in reversed(order[1:]):
+            if cid in joining:
+                p, s_idx = parent[cid]
+                _send(tree, cid, p, s_idx)
+        tree.stats.inward_propagations += 1
+    distribute(tree, root)
 
 
 def retract_finding(tree: JunctionTree, var: int) -> None:

@@ -76,7 +76,8 @@ def _nway_case(n, seed):
 def four_way():
     net, params, ev = _nway_case(4, 604)
     singles = [fit_multilinear(net, [ref], ev) for ref in params]
-    return net, params, ev, general_nway(net, params, ev, lower_order=singles)
+    tree = build_junction_tree(net)
+    return net, params, ev, general_nway(tree, params, ev, lower_order=singles)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,8 @@ def five_way():
     net, params, ev = _nway_case(5, 605)
     pairs = [fit_multilinear(net, list(pair), ev)
              for pair in itertools.combinations(params, 2)]
-    return net, params, ev, general_nway(net, params, ev, lower_order=pairs)
+    tree = build_junction_tree(net)
+    return net, params, ev, general_nway(tree, params, ev, lower_order=pairs)
 
 
 @pytest.fixture(scope="module")
@@ -307,8 +309,8 @@ class TestAcceptance:
         check("one-parameter reduction",
               [single.coefficients[m] for m in range(2)], [0.24, 0.2])
 
-        gen = general_nway(r2, [r2.parameter(0, 0, ()), r2.parameter(2, 0, (0,))],
-                           c_yes)
+        gen = general_nway(build_junction_tree(r2),
+                           [r2.parameter(0, 0, ()), r2.parameter(2, 0, (0,))], c_yes)
         check("cross-clique coefficients",
               [gen.function.coefficients[m] for m in range(4)],
               [0.07, -0.06, 0.3, 0.6])

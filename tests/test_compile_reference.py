@@ -1,13 +1,18 @@
 """The indexed compile and the one-search relevance screen against their quadratic originals.
 
-The reference functions below are the straightforward versions the library
-used before: triangulation rescans every remaining vertex per elimination,
-the maximality filter compares every pair of candidate cliques, every clique
+The reference functions below are the straightforward versions of each
+step: triangulation rescans every remaining vertex per elimination, the
+maximality filter compares every pair of candidate cliques, every clique
 pair is scored for a sepset, every clique is scanned for each family, and
 relevance screening runs one ball search per variable.  The library must
 give exactly the same results: same elimination order and fill edges, same
 cliques, sepsets and family placement, same relevant sets, same
 topological order.
+
+Triangulation is weighted min-fill: a fill edge counts the product of its
+ends' arities.  Plain min-fill, which counts every fill edge as 1, is kept
+as a second reference: where all variables share one arity the weighted
+score is a constant multiple of the fill count, so the two orders agree.
 """
 
 import numpy as np
@@ -24,19 +29,18 @@ from bnsense.oracle import random_network
 # reference implementations
 
 
-def reference_triangulate(adj):
+def _reference_eliminate(adj, score):
+    """Eliminate by lowest score(work, v), ties to the lowest id, rescanning every vertex."""
     work = {v: set(ns) for v, ns in adj.items()}
     order = []
     fills = set()
     remaining = sorted(work)
     while remaining:
-        best, best_fill = None, None
+        best, best_score = None, None
         for v in remaining:
-            ns = sorted(work[v])
-            count = sum(1 for i, a in enumerate(ns) for b in ns[i + 1:]
-                        if b not in work[a])
-            if best_fill is None or count < best_fill:
-                best, best_fill = v, count
+            value = score(work, v)
+            if best_score is None or value < best_score:
+                best, best_score = v, value
         v = best
         ns = sorted(work[v])
         for i, a in enumerate(ns):
@@ -51,6 +55,22 @@ def reference_triangulate(adj):
         remaining.remove(v)
         order.append(v)
     return tuple(order), fills
+
+
+def _missing_pairs(work, v):
+    ns = sorted(work[v])
+    return [(a, b) for i, a in enumerate(ns) for b in ns[i + 1:] if b not in work[a]]
+
+
+def reference_triangulate(adj, arities):
+    """Weighted min-fill: each missing pair of neighbours costs the product of their arities."""
+    return _reference_eliminate(
+        adj, lambda work, v: sum(arities[a] * arities[b] for a, b in _missing_pairs(work, v)))
+
+
+def reference_min_fill(adj):
+    """Plain min-fill: each missing pair of neighbours costs 1."""
+    return _reference_eliminate(adj, lambda work, v: len(_missing_pairs(work, v)))
 
 
 def reference_elimination_cliques(adj, order, fills):
@@ -171,9 +191,9 @@ def assert_tree_matches_reference(net, reference_order=None):
     too slow to run; the caller then checks the order separately.
     """
     adj = moralize(net)
-    order, fills = triangulate(adj)
+    order, fills = triangulate(adj, net.arities)
     if reference_order is None:
-        reference_order = reference_triangulate(adj)
+        reference_order = reference_triangulate(adj, net.arities)
     assert (order, fills) == reference_order
     members = reference_elimination_cliques(adj, order, fills)
     tree = build_junction_tree(net)
@@ -250,6 +270,32 @@ class TestMixedArities:
                 if v else () for v in range(n)]
             arities = [int(a) for a in rng.integers(2, 6, size=n)]
             assert_tree_matches_reference(_structure(parents, arities))
+
+    def test_equal_arities_keep_min_fill(self):
+        """One arity everywhere: the weighted order is plain min-fill's."""
+        rng = np.random.default_rng(38)
+        for _ in range(60):
+            n = int(rng.integers(4, 35))
+            parents = [tuple(sorted(int(p) for p in rng.choice(
+                v, size=int(rng.integers(0, min(v, 4) + 1)), replace=False)))
+                if v else () for v in range(n)]
+            net = _structure(parents, [int(rng.integers(2, 5))] * n)
+            assert triangulate(moralize(net), net.arities) == reference_min_fill(moralize(net))
+
+    def test_wide_clique_dag(self):
+        """The benchmark's wide-clique DAG: weighted fill halves the clique state space."""
+        net = random_network(np.random.default_rng(4), n_vars=130, max_states=3,
+                             max_parents=2)
+        tree = assert_tree_matches_reference(net)
+
+        def entries(members):
+            return [int(np.prod([net.arity(v) for v in mem])) for mem in members]
+
+        weighted = entries(c.members for c in tree.cliques)
+        assert (max(weighted), sum(weighted)) == (1_259_712, 4_186_061)
+        adj = moralize(net)
+        plain = entries(reference_elimination_cliques(adj, *reference_min_fill(adj)))
+        assert (max(plain), sum(plain)) == (1_889_568, 9_311_561)
 
     def test_with_cpt_keeps_structure(self):
         net = random_network(np.random.default_rng(37), n_vars=12)

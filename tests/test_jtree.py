@@ -55,12 +55,12 @@ class TestGraphSteps:
 
     def test_triangulation_leaves_chordal_graph_alone(self):
         net = _uniform_net(DIAMOND)
-        _, fills = triangulate(moralize(net))
+        _, fills = triangulate(moralize(net), net.arities)
         assert fills == set()
 
     def test_triangulation_breaks_chordless_cycle(self):
         net = _uniform_net(PENTAGON)
-        _, fills = triangulate(moralize(net))
+        _, fills = triangulate(moralize(net), net.arities)
         assert fills == {frozenset((1, 3))}
 
 

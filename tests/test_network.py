@@ -9,6 +9,7 @@ from bnsense import (DegenerateParameterError, Evidence, ImpossibleEvidenceError
                      NetworkFormatError, apply_parameter, covary_row,
                      enumerate_parameters, format_parameter, load_network,
                      network_from_dict, network_to_dict)
+from bnsense.oracle import random_network
 
 
 def _doc(variables, cpts):
@@ -53,6 +54,38 @@ class TestLoading:
                      "rows": [[0.9, 0.1], [0.3, 0.7 + offset]]}])
         net = network_from_dict(doc)
         assert net.cpts[1][1].sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_first_offending_row_is_named(self):
+        doc = _doc(R1_DOC["variables"],
+                   [R1_DOC["cpts"][0],
+                    {"variable": "B", "parents": ["A"], "rows": [[0.9, 0.2], [-0.3, 1.3]]}])
+        with pytest.raises(NetworkFormatError, match="'B', row 0: sum 1.1"):
+            network_from_dict(doc)
+        doc["cpts"][1]["rows"] = [[0.9, 0.1], [float("nan"), 0.7]]
+        with pytest.raises(NetworkFormatError, match="'B', row 1: entries must be finite"):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("row", [["x", 0.7], [[0.3], 0.7], [None, [0.7]]])
+    def test_non_numeric_entries_rejected(self, row):
+        doc = _doc(R1_DOC["variables"],
+                   [R1_DOC["cpts"][0],
+                    {"variable": "B", "parents": ["A"], "rows": [[0.9, 0.1], row]}])
+        with pytest.raises(NetworkFormatError, match="'B': cpt entries must be numbers"):
+            network_from_dict(doc)
+
+    def test_tables_match_row_by_row_normalization(self):
+        """Each table is bit-identical to dividing every row by its own sum."""
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            doc = network_to_dict(random_network(rng, n_vars=int(rng.integers(2, 12)),
+                                                 max_states=6))
+            for entry in doc["cpts"]:
+                entry["rows"] = [[x * (1 + float(rng.uniform(-4e-10, 4e-10))) for x in row]
+                                 for row in entry["rows"]]
+            net = network_from_dict(doc)
+            for entry, table in zip(doc["cpts"], net.cpts):
+                rows = [np.asarray(row, dtype=float) for row in entry["rows"]]
+                assert np.array_equal(table, [row / float(row.sum()) for row in rows])
 
     def test_cycle_error(self):
         doc = _doc(R1_DOC["variables"],

@@ -9,9 +9,11 @@ from bnsense import (CliqueMembershipError, DegenerateParameterError,
                      build_junction_tree, check_independent, evaluate_multilinear,
                      extra_propagation_budget, general_nway, load_network,
                      same_clique_nway)
+from bnsense import nway
 from bnsense.nway import _eliminate
-from bnsense.oracle import (fit_multilinear, random_independent_parameters,
-                            random_network)
+from bnsense.oracle import (brute_evidence_probability, fit_multilinear,
+                            random_independent_parameters, random_network)
+from bnsense.propagation import collect, distribute, propagate_full
 from tests.conftest import possible_evidence
 
 FIXTURE_TOLERANCE = 1e-12
@@ -40,7 +42,7 @@ class TestIndependenceScreening:
         with pytest.raises(DependentParametersError):
             same_clique_nway(build_junction_tree(r1), bad)
         with pytest.raises(DependentParametersError):
-            general_nway(r1, bad)
+            general_nway(build_junction_tree(r1), bad)
 
     def test_value_one_parameter_is_rejected(self):
         net = load_network({
@@ -51,7 +53,7 @@ class TestIndependenceScreening:
                       "rows": [[0.6, 0.4]]}]})
         params = [net.parameter(0, 0, ()), net.parameter(1, 0, ())]
         with pytest.raises(DegenerateParameterError):
-            general_nway(net, params)
+            general_nway(build_junction_tree(net), params)
 
 
 class TestSameCliqueRoute:
@@ -94,7 +96,8 @@ class TestSameCliqueRoute:
 class TestGeneralRoute:
     def test_two_way_fixture(self, r2):
         params = [r2.parameter(0, 0, ()), r2.parameter(2, 0, (0,))]
-        result = general_nway(r2, params, Evidence(r2).set_hard("C", "yes"))
+        result = general_nway(build_junction_tree(r2), params,
+                              Evidence(r2).set_hard("C", "yes"))
         assert_allclose([result.function.coefficients[m] for m in (0, 1, 2, 3)],
                         [0.07, -0.06, 0.3, 0.6], atol=FIXTURE_TOLERANCE)
         assert evaluate_multilinear(result.function, (0.2, 0.7)) == pytest.approx(
@@ -105,14 +108,16 @@ class TestGeneralRoute:
         # most n+1 = 3, so the 4-coefficient system needs a second setting;
         # the a-priori budget counts raw equations and allocates none.
         params = [r2.parameter(0, 0, ()), r2.parameter(2, 0, (0,))]
-        result = general_nway(r2, params, Evidence(r2).set_hard("C", "yes"))
+        result = general_nway(build_junction_tree(r2), params,
+                              Evidence(r2).set_hard("C", "yes"))
         assert result.budget == extra_propagation_budget(2, 1) == 0
         assert result.extra_propagations == 1
         assert result.stats[0] == 2  # one propagation per setting
 
     def test_single_parameter_reduces_to_line(self, r2):
         ref = r2.parameter(1, 0, (0,))
-        result = general_nway(r2, [ref], Evidence(r2).set_hard("C", "yes"))
+        result = general_nway(build_junction_tree(r2), [ref],
+                              Evidence(r2).set_hard("C", "yes"))
         expected = fit_multilinear(r2, [ref], Evidence(r2).set_hard("C", "yes"))
         for mask in (0, 1):
             assert result.function.coefficients[mask] == pytest.approx(
@@ -129,11 +134,59 @@ class TestGeneralRoute:
                 continue
             cases += 1
             ev = possible_evidence(rng, net)
-            result = general_nway(net, params, ev)
+            result = general_nway(build_junction_tree(net), params, ev)
             expected = fit_multilinear(net, params, ev)
             for mask in range(1 << n):
                 assert result.function.coefficients[mask] == pytest.approx(
                     expected.coefficients[mask], abs=AGREEMENT_TOLERANCE)
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_replay_matches_full_propagation(self, connected, monkeypatch):
+        """Extra settings re-send only the messages the co-varied rows reach.
+
+        The coefficients agree with the oracle and with the same solver run
+        on full propagations.  Each extra setting sends, inward, the edges
+        whose two sides both hold a parameter's family clique (the subtree
+        joining them) and, outward, every edge once.
+        """
+        rng = np.random.default_rng(54 if connected else 55)
+        cases = 0
+        while cases < 15:
+            net = random_network(rng, n_vars=int(rng.integers(4, 12)), connected=connected)
+            params = random_independent_parameters(rng, net, int(rng.integers(2, 4)))
+            if params is None:
+                continue
+            tree = build_junction_tree(net)
+            homes = {tree.family_clique[ref.variable] for ref in params}
+            if len(homes) < 2:
+                continue
+            cases += 1
+            ev = possible_evidence(rng, net)
+            result = general_nway(tree, params, ev)
+            assert tree.net is net
+            assert propagate_full(tree, ev) == pytest.approx(
+                brute_evidence_probability(net, ev), abs=1e-12)
+
+            expected = fit_multilinear(net, params, ev)
+            for mask in range(1 << len(params)):
+                assert result.function.coefficients[mask] == pytest.approx(
+                    expected.coefficients[mask], abs=AGREEMENT_TOLERANCE)
+
+            with monkeypatch.context() as m:
+                m.setattr(nway, "replay", lambda t, changed: (collect(t), distribute(t)))
+                full = general_nway(build_junction_tree(net), params, ev)
+            assert full.extra_propagations == result.extra_propagations >= 1
+            assert_allclose([result.function.coefficients[k] for k in range(1 << len(params))],
+                            [full.function.coefficients[k] for k in range(1 << len(params))],
+                            rtol=0, atol=FIXTURE_TOLERANCE)
+
+            edges = len(tree.sepsets)
+            joining = sum(1 for sep in tree.sepsets if all(
+                homes & _side(tree, sep.cliques[k], sep.cliques[1 - k]) for k in (0, 1)))
+            extra = result.extra_propagations
+            assert joining >= 1
+            assert result.stats == (1 + extra, 1 + extra,
+                                    2 * edges + extra * (joining + edges))
 
     def test_lower_order_input_shrinks_the_budget(self):
         rng = np.random.default_rng(53)
@@ -145,7 +198,7 @@ class TestGeneralRoute:
         ev = possible_evidence(rng, net)
         pairs = [fit_multilinear(net, [params[i], params[j]], ev)
                  for i, j in ((0, 1), (0, 2), (1, 2))]
-        result = general_nway(net, params, ev, lower_order=pairs)
+        result = general_nway(build_junction_tree(net), params, ev, lower_order=pairs)
         assert result.budget == extra_propagation_budget(3, 2) == 0
         expected = fit_multilinear(net, params, ev)
         for mask in range(8):
@@ -156,7 +209,7 @@ class TestGeneralRoute:
         params = [r2.parameter(0, 0, ()), r2.parameter(2, 0, (0,))]
         stray = fit_multilinear(r2, [r2.parameter(1, 0, (0,))], None)
         with pytest.raises(Exception, match="outside the requested set"):
-            general_nway(r2, params, lower_order=[stray])
+            general_nway(build_junction_tree(r2), params, lower_order=[stray])
 
 
 class TestBudget:
@@ -191,3 +244,15 @@ class TestElimination:
         rank, solution = _eliminate(a, np.array([1.0, 0.0]))
         assert rank == 1
         assert solution is None
+
+
+def _side(tree, start, across):
+    """The cliques reachable from `start` without crossing to `across`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nb, _ in tree.neighbors[stack.pop()]:
+            if nb != across and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
