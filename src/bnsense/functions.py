@@ -2,12 +2,16 @@
 
 A one-way sensitivity function is a quotient of two lines in one parameter;
 an n-way function of the evidence probability is multilinear, held as one
-coefficient per subset of the parameters.
+coefficient per subset of the parameters.  `subset_products` builds one
+product per subset from per-parameter factor pairs; evaluating a multilinear
+function and every n-way equation row are such products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import UndefinedPointError
 from .network import ParameterRef
@@ -66,28 +70,30 @@ class MultilinearFunction:
     params: tuple[ParameterRef, ...]
     coefficients: dict[int, float]
 
-    def coefficient(self, subset: tuple[int, ...]) -> float:
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        return self.coefficients[mask]
+
+def subset_products(factors) -> np.ndarray:
+    """Products over the subset lattice, one per mask, in the mask layout above.
+
+    factors[..., i, b] is parameter i's factor when bit i of the mask is b;
+    leading axes batch independent rows.  Entry `mask` of the result is the
+    product of every parameter's factor for its bit, multiplied lowest bit
+    first — the outer product of the per-parameter 2-vectors.
+    """
+    factors = np.asarray(factors, dtype=float)
+    batch = factors.shape[:-2]
+    out = np.ones(batch + (1,))
+    for i in range(factors.shape[-2]):
+        out = (factors[..., i, :, None] * out[..., None, :]).reshape(batch + (-1,))
+    return out
 
 
 def evaluate_multilinear(mf: MultilinearFunction, values) -> float:
     """Value of the multilinear function at a full vector of parameter values."""
-    values = tuple(values)
+    values = np.asarray(tuple(values), dtype=float)
     if len(values) != len(mf.params):
         raise ValueError(
             f"expected {len(mf.params)} parameter values, got {len(values)}")
-    total = 0.0
-    for mask, coeff in mf.coefficients.items():
-        term = coeff
-        i = 0
-        m = mask
-        while m:
-            if m & 1:
-                term *= values[i]
-            m >>= 1
-            i += 1
-        total += term
-    return total
+    terms = subset_products(np.stack([np.ones_like(values), values], axis=-1))
+    masks = np.fromiter(mf.coefficients, dtype=np.int64, count=len(mf.coefficients))
+    coeffs = np.fromiter(mf.coefficients.values(), dtype=float, count=len(masks))
+    return float(coeffs @ terms[masks])

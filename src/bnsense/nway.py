@@ -8,11 +8,17 @@ Two routes compute the coefficients:
 * when every parameter's family lives inside one clique, a single propagation
   suffices: each entry of p(U, e), for U the union of the families, is
   classified by which parameter contexts hold and which designated states it
-  matches, and the 2^n coefficients come out of signed local sums;
+  matches, and the 2^n coefficients come out of the 3^n group sums by one
+  2x3 contraction per parameter;
 * in general, a linear system over the 2^n coefficients is assembled from
   whatever lower-order analyses are available plus propagations at
   deterministic fresh parameter settings, extended until full rank; each
   extra propagation re-sends only the messages the co-varied rows reach.
+
+Every equation row is a product over the subset lattice of per-parameter
+factor pairs (`functions.subset_products`): (1, x_i) where parameter i is
+held at x_i, (0, 1) or (1, 0) where a row picks its slope or intercept or a
+lower-order subset fixes its bit.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .errors import (BnsenseError, CliqueMembershipError, DegenerateParameterError,
                      DependentParametersError, RankDeficiencyError)
-from .functions import MultilinearFunction, evaluate_multilinear
+from .functions import MultilinearFunction, evaluate_multilinear, subset_products
 from .jtree import JunctionTree
 from .network import Evidence, Network, ParameterRef
 from .oneway import _extract_lines
@@ -70,13 +76,10 @@ def _require_analyzable(net: Network, params: list[ParameterRef]) -> None:
 # all families in one clique: one propagation
 
 
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+# rows: a subset's bit for one parameter; columns: an entry's digit for it
+# (outside the context, matches the designated state, disagrees with it)
+_EXPAND = np.array([[1.0, 0.0, 1.0],
+                    [0.0, 1.0, -1.0]])
 
 
 def _on_axis(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -132,21 +135,15 @@ def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
 
     digits = np.broadcast_to(digits, table.shape).ravel()
     sums = np.bincount(digits, weights=weight.ravel(), minlength=3 ** n)
-    coeffs = {mask: 0.0 for mask in range(1 << n)}
-    for group in np.flatnonzero(sums):
-        matched = disagreeing = 0
-        code = int(group)
-        for i in range(n):
-            code, digit = divmod(code, 3)
-            if digit == 1:
-                matched |= 1 << i
-            elif digit == 2:
-                disagreeing |= 1 << i
-        for sub in _submasks(disagreeing):
-            sign = -1.0 if bin(sub).count("1") % 2 else 1.0
-            coeffs[matched | sub] += sign * float(sums[group])
-
-    return MultilinearFunction(tuple(params), coeffs)
+    # A group adds to the coefficient of every subset that holds its matched
+    # parameters, none outside its context and any of its disagreeing ones,
+    # with sign -1 per disagreeing one held: per parameter, digit d adds
+    # _EXPAND[b, d] to the subsets with bit b.  Contracting the digits one at
+    # a time, lowest first, leaves bit i at the place digit i had.
+    coeffs = sums
+    for _ in range(n):
+        coeffs = (_EXPAND @ coeffs.reshape(-1, 3).T).ravel()
+    return MultilinearFunction(tuple(params), dict(enumerate(coeffs.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +175,9 @@ def extra_propagation_budget(n: int, m: int) -> int:
     return -(-missing // per_setting)
 
 
+# pivots below this magnitude do not count toward the system's rank
+RANK_TOLERANCE = 1e-10
+
 _WEYL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -198,69 +198,37 @@ def _extension_setting(k: int, operating: np.ndarray) -> np.ndarray:
     return operating + fractions * (1.0 - operating)
 
 
-def _value_row(n: int, setting: np.ndarray) -> np.ndarray:
-    """Coefficient row of the evidence-probability value at a setting."""
-    row = np.empty(1 << n)
-    for mask in range(1 << n):
-        prod = 1.0
-        for i in range(n):
-            if mask & (1 << i):
-                prod *= setting[i]
-        row[mask] = prod
-    return row
+def _setting_rows(setting: np.ndarray) -> np.ndarray:
+    """Coefficient rows of one setting's equations, as a (2n+1, 2^n) batch.
+
+    Row 0 is the evidence-probability value; rows 1+2i and 2+2i are the
+    slope and intercept of the line in parameter i with every other
+    parameter held at the setting.
+    """
+    n = len(setting)
+    factors = np.tile(np.stack([np.ones(n), setting], axis=-1), (2 * n + 1, 1, 1))
+    each = np.arange(n)
+    factors[1 + 2 * each, each] = (0.0, 1.0)
+    factors[2 + 2 * each, each] = (1.0, 0.0)
+    return subset_products(factors)
 
 
-def _line_rows(n: int, i: int, setting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient rows for the slope and intercept of the line in parameter i
-    when every other parameter is held at the setting."""
-    slope = np.zeros(1 << n)
-    intercept = np.zeros(1 << n)
-    for mask in range(1 << n):
-        prod = 1.0
-        for j in range(n):
-            if j != i and mask & (1 << j):
-                prod *= setting[j]
-        if mask & (1 << i):
-            slope[mask] = prod
-        else:
-            intercept[mask] = prod
-    return slope, intercept
-
-
-def _mway_rows(n: int, indices: list[int], mf: MultilinearFunction,
-               setting: np.ndarray):
+def _mway_rows(indices: list[int], mf: MultilinearFunction,
+               setting: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Equations tying a lower-order analysis's coefficients to the unknowns.
 
     The fitted coefficient of subset Y within the analyzed tuple T equals the
     sum, over all global subsets Z with Z∩T = Y, of the unknown coefficient
     of Z times the setting values of Z's parameters outside T.
     """
-    t_mask = 0
-    for i in indices:
-        t_mask |= 1 << i
-    rows = []
-    rhs = []
-    for sub_mask, coeff in mf.coefficients.items():
-        y_mask = 0
-        for k, i in enumerate(indices):
-            if sub_mask & (1 << k):
-                y_mask |= 1 << i
-        row = np.zeros(1 << n)
-        for z in range(1 << n):
-            if (z & t_mask) != y_mask:
-                continue
-            prod = 1.0
-            rest = z & ~t_mask
-            for j in range(n):
-                if rest & (1 << j):
-                    prod *= setting[j]
-            row[z] = prod
-        rows.append(row)
-        rhs.append(coeff)
-    return rows, rhs
+    masks = np.fromiter(mf.coefficients, dtype=np.int64, count=len(mf.coefficients))
+    bits = (masks[:, None] >> np.arange(len(indices))) & 1
+    factors = np.tile(np.stack([np.ones(len(setting)), setting], axis=-1), (len(masks), 1, 1))
+    factors[:, indices] = np.stack([1 - bits, bits], axis=-1)
+    return subset_products(factors), list(mf.coefficients.values())
 
 
-def _eliminate(matrix: np.ndarray, rhs: np.ndarray, tol: float = 1e-10):
+def _eliminate(matrix: np.ndarray, rhs: np.ndarray):
     """Row-echelon by partial pivoting; returns (rank, solution or None)."""
     a = matrix.astype(float).copy()
     b = rhs.astype(float).copy()
@@ -271,7 +239,7 @@ def _eliminate(matrix: np.ndarray, rhs: np.ndarray, tol: float = 1e-10):
         if row >= m:
             break
         lead = int(np.argmax(np.abs(a[row:, col]))) + row
-        if abs(a[lead, col]) < tol:
+        if abs(a[lead, col]) < RANK_TOLERANCE:
             continue
         if lead != row:
             a[[row, lead]] = a[[lead, row]]
@@ -293,8 +261,7 @@ def _eliminate(matrix: np.ndarray, rhs: np.ndarray, tol: float = 1e-10):
 
 def general_nway(tree: JunctionTree, params: list[ParameterRef],
                  evidence: Evidence | None = None,
-                 lower_order: list[MultilinearFunction] | None = None,
-                 rank_tolerance: float = 1e-10) -> NWayResult:
+                 lower_order: list[MultilinearFunction] | None = None) -> NWayResult:
     """Assemble and solve the coefficient system for arbitrary parameter sets.
 
     The initial full propagation at the operating point contributes the
@@ -320,19 +287,14 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
     rhs: list[float] = []
 
     def add_rows(setting: np.ndarray) -> None:
-        rows.append(_value_row(n, setting))
+        rows.append(_setting_rows(setting))
         rhs.append(evidence_probability(tree))
         lines, skipped = _extract_lines(tree, params)  # looks up current row values
         if skipped:
             raise DegenerateParameterError(
                 "a parameter reached value 1 at an analysis setting")
-        for i, ref in enumerate(params):
-            slope_row, intercept_row = _line_rows(n, i, setting)
-            line = lines[ref]
-            rows.append(slope_row)
-            rhs.append(line.slope)
-            rows.append(intercept_row)
-            rhs.append(line.intercept)
+        for ref in params:
+            rhs.extend((lines[ref].slope, lines[ref].intercept))
 
     propagate_full(tree, evidence)
     add_rows(operating)
@@ -344,8 +306,8 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
                 raise BnsenseError(
                     "lower-order analysis mentions a parameter outside the requested set")
             indices.append(index_of[ref])
-        extra_rows, extra_rhs = _mway_rows(n, indices, mf, operating)
-        rows.extend(extra_rows)
+        extra_rows, extra_rhs = _mway_rows(indices, mf, operating)
+        rows.append(extra_rows)
         rhs.extend(extra_rhs)
 
     budget = extra_propagation_budget(n, len(lower_order[0].params)) if lower_order else (
@@ -353,7 +315,7 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
     extra = 0
     try:
         while True:
-            rank, solution = _eliminate(np.array(rows), np.array(rhs), rank_tolerance)
+            rank, solution = _eliminate(np.concatenate(rows), np.array(rhs))
             if solution is not None:
                 break
             if extra >= cap:
@@ -369,7 +331,7 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
     finally:
         tree.restore_network(net)
 
-    residual = float(np.max(np.abs(np.array(rows) @ solution - np.array(rhs))))
+    residual = float(np.max(np.abs(np.concatenate(rows) @ solution - np.array(rhs))))
     if residual > 1e-6:
         raise BnsenseError(
             f"coefficient system is inconsistent (residual {residual:.3e}); "

@@ -279,11 +279,10 @@ def _two_point_lines(tree: JunctionTree, params: list[ParameterRef]):
 
 
 def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
-                          evidence: Evidence | None = None,
-                          targets: list[int] | None = None) -> OneParamAnalysis:
+                          evidence: Evidence | None = None) -> OneParamAnalysis:
     """Every posterior's line pair in one parameter: 1 inward + 2 outward.
 
-    Propagate at the current value, record all target marginals and p(e);
+    Propagate at the current value, record every variable's marginal and p(e);
     co-vary the parameter's row to a second value, replay one outward pass
     from the family clique, record again; fit every line through its two
     points.
@@ -292,8 +291,7 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     if x1 >= 1.0:
         raise BnsenseError("parameter value is 1; co-variation undefined")
     x2 = _second_value(x1)
-    if targets is None:
-        targets = list(range(tree.net.n_variables))
+    targets = range(tree.net.n_variables)
 
     home = tree.family_clique[ref.variable]
     propagate_full(tree, evidence, root=home)

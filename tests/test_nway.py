@@ -15,6 +15,7 @@ from bnsense.oracle import (brute_evidence_probability, fit_multilinear,
                             random_independent_parameters, random_network)
 from bnsense.propagation import collect, distribute, propagate_full
 from tests.conftest import possible_evidence
+from tests.test_acceptance import NWAY_TOLERANCE
 
 FIXTURE_TOLERANCE = 1e-12
 AGREEMENT_TOLERANCE = 1e-9
@@ -210,6 +211,46 @@ class TestGeneralRoute:
         stray = fit_multilinear(r2, [r2.parameter(1, 0, (0,))], None)
         with pytest.raises(Exception, match="outside the requested set"):
             general_nway(build_junction_tree(r2), params, lower_order=[stray])
+
+
+def _binary_network(names, parents, rng):
+    """Binary variables with CPT rows drawn from U(0.1, 0.9)."""
+    cpts = []
+    for name in names:
+        ps = rng.uniform(0.1, 0.9, size=1 << len(parents.get(name, ())))
+        cpts.append({"variable": name, "parents": list(parents.get(name, ())),
+                     "rows": [[p, 1.0 - p] for p in ps]})
+    return load_network({"variables": [{"name": v, "states": ["s0", "s1"]} for v in names],
+                         "cpts": cpts})
+
+
+class TestSixParameters:
+    """n = 6 on both routes, checked against the enumeration fit."""
+
+    def test_same_clique_route(self):
+        roots = list("ABCDEF")
+        net = _binary_network(roots + ["X"], {"X": roots}, np.random.default_rng(6))
+        params = [net.parameter(i, 0, ()) for i in range(6)]
+        ev = Evidence(net).set_hard("X", "s0")
+        tree = build_junction_tree(net)
+        mf = same_clique_nway(tree, params, ev)
+        assert tree.stats.snapshot()[:2] == (1, 1)
+        expected = fit_multilinear(net, params, ev)
+        for mask in range(1 << 6):
+            assert mf.coefficients[mask] == pytest.approx(
+                expected.coefficients[mask], abs=NWAY_TOLERANCE)
+
+    def test_general_route_on_a_chain(self):
+        names = [f"V{k}" for k in range(12)]
+        net = _binary_network(names, {names[k]: [names[k - 1]] for k in range(1, 12)},
+                              np.random.default_rng(7))
+        params = [net.parameter(k, 0, (0,)) for k in range(1, 12, 2)]
+        ev = Evidence(net).set_hard("V11", "s0")
+        result = general_nway(build_junction_tree(net), params, ev)
+        expected = fit_multilinear(net, params, ev)
+        for mask in range(1 << 6):
+            assert result.function.coefficients[mask] == pytest.approx(
+                expected.coefficients[mask], abs=NWAY_TOLERANCE)
 
 
 class TestBudget:
