@@ -105,7 +105,7 @@ def _parser() -> _Parser:
     p.add_argument("--target", required=True,
                    help='posterior of interest, e.g. "A=yes"')
     p.add_argument("--method", choices=["1", "2", "both"], default="1",
-                   help="local extraction (1), two-point reweighting (2), "
+                   help="local extraction (1), two-point fit (2), "
                         "or both with cross-check")
     analysis_options(p)
 

@@ -24,11 +24,12 @@ as a factor list (its assigned CPTs, its attached finding vectors, and its
 incoming messages), in the style of Madsen & Jensen's lazy propagation
 (AIJ 1999).  `JunctionTree.local_product` sums that list straight onto the
 variables a caller needs: a sepset for a message, one variable for a
-marginal, a family for CPT-row masses.  Finding vectors stay separate
-factors, which is what makes retracting a single finding cheap; likewise a
-co-varied CPT row changes only its family clique's factor list, so an extra
-n-way propagation re-sends only the messages directed away from the
-parameters' family cliques.
+marginal, a family for CPT-row masses, or, with the variable's own CPT
+left out, a family for the derivative of p(e) in that CPT.  Finding vectors
+stay separate factors, which is what makes retracting a single finding
+cheap; likewise a co-varied CPT row changes only its family clique's factor
+list, so an extra n-way propagation re-sends only the messages directed away
+from the parameters' family cliques.
 
 After a full propagation every sepset and every clique holds
 p(members, e), so `JunctionTree.joint` reads p(vars, e) from the cheapest
@@ -384,17 +385,19 @@ class JunctionTree:
     # -- potential views -----------------------------------------------------
 
     def local_product(self, cid: int, keep: tuple[int, ...] | None = None, *,
-                      without: int | None = None) -> Potential:
+                      without: int | None = None, omit: int | None = None) -> Potential:
         """The clique's factors, multiplied and summed onto `keep`.
 
-        The factors are the CPTs assigned to the clique, its attached finding
-        vectors and the messages it received from every neighbor but
-        `without`.  `keep` is a subset of the clique's members and defaults
-        to all of them; only then is the clique table built.
+        The factors are the CPTs assigned to the clique but that of variable
+        `omit`, its attached finding vectors and the messages it received
+        from every neighbor but `without`.  `keep` is a subset of the
+        clique's members and defaults to all of them; only then is the clique
+        table built.
         """
         members = self.cliques[cid].members
         keep = members if keep is None else tuple(sorted(keep))
-        factors = [(f.vars, f.table) for f in map(self.cpt_factor, self.cliques[cid].families)]
+        families = [v for v in self.cliques[cid].families if v != omit]
+        factors = [(f.vars, f.table) for f in map(self.cpt_factor, families)]
         factors.extend(((var,), vec) for var, vec in self.attached_findings(cid))
         for nb, _ in self.neighbors[cid]:
             msg = self.messages.get((nb, cid)) if nb != without else None

@@ -9,11 +9,14 @@ Two routes compute the coefficients:
   suffices: each entry of p(U, e), for U the union of the families, is
   classified by which parameter contexts hold and which designated states it
   matches, and the 2^n coefficients come out of the 3^n group sums by one
-  2x3 contraction per parameter;
+  2x3 contraction per parameter (parameters at value 0 are first co-varied
+  to 1/2, which costs one replay);
 * in general, a linear system over the 2^n coefficients is assembled from
   whatever lower-order analyses are available plus propagations at
   deterministic fresh parameter settings, extended until full rank; each
   extra propagation re-sends only the messages the co-varied rows reach.
+  A setting's line equations are the one-way local-extraction lines, read
+  one family per variable (`oneway._family_lines`).
 
 Every equation row is a product over the subset lattice of per-parameter
 factor pairs (`functions.subset_products`): (1, x_i) where parameter i is
@@ -33,7 +36,7 @@ from .errors import (BnsenseError, CliqueMembershipError, DegenerateParameterErr
 from .functions import MultilinearFunction, evaluate_multilinear, subset_products
 from .jtree import JunctionTree
 from .network import Evidence, Network, ParameterRef
-from .oneway import _extract_lines
+from .oneway import _family_lines, _pick, _variables
 from .propagation import evidence_probability, propagate_full, replay
 
 __all__ = ["check_independent", "same_clique_nway", "general_nway",
@@ -100,6 +103,12 @@ def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
     the co-variation line per held context turns each entry into signed
     contributions to the coefficients of every subset between its matched
     parameters and its matched-plus-disagreeing ones.
+
+    A parameter at value 0 leaves nothing to divide out, so such parameters
+    are co-varied to 1/2 and the table is read after one `replay` from their
+    family cliques; p(e) is the same multilinear function from any point on
+    the co-variation line.  The operating-point network is put back on
+    return.
     """
     net = tree.net
     _require_analyzable(net, params)
@@ -110,7 +119,17 @@ def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
             "no single clique contains all the parameter families")
 
     propagate_full(tree, evidence, root=home)
-    pot = tree.joint(needed)
+    shifted = [ref for ref in params if net.parameter_value(ref) == 0.0]
+    try:
+        if shifted:
+            for ref in shifted:
+                tree.set_parameter(ref, 0.5)
+            replay(tree, {tree.family_clique[ref.variable] for ref in shifted})
+        pot = tree.joint(needed)
+        values = [tree.net.parameter_value(ref) for ref in params]
+    finally:
+        if shifted:
+            tree.restore_network(net)
 
     # Classify every entry at once.  Per parameter, an entry is outside its
     # context (digit 0), matches the designated state (1) or disagrees with
@@ -122,16 +141,14 @@ def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
     n = len(params)
     digits = np.zeros((1,) * table.ndim, dtype=np.int64)
     weight = table
-    for i, ref in enumerate(params):
+    for i, (ref, value) in enumerate(zip(params, values)):
         context = np.ones((1,) * table.ndim, dtype=bool)
         for p, s in zip(net.parents[ref.variable], ref.parent_config):
             context = context & _on_axis(np.arange(net.arity(p)) == s, axis[p], table.ndim)
         held = _on_axis(np.arange(net.arity(ref.variable)) == ref.state,
                         axis[ref.variable], table.ndim)
-        value = net.parameter_value(ref)
         digits = digits + 3 ** i * np.where(context, np.where(held, 1, 2), 0)
-        # a matched entry of a zero parameter has zero mass: divide it by 1, not 0
-        weight = weight / np.where(context, np.where(held, value or 1.0, 1.0 - value), 1.0)
+        weight = weight / np.where(context, np.where(held, value, 1.0 - value), 1.0)
 
     digits = np.broadcast_to(digits, table.shape).ravel()
     sums = np.bincount(digits, weights=weight.ravel(), minlength=3 ** n)
@@ -282,6 +299,7 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
     homes = {tree.family_clique[ref.variable] for ref in params}
 
     index_of = {ref: i for i, ref in enumerate(params)}
+    variables = _variables(params)
 
     rows: list[np.ndarray] = []
     rhs: list[float] = []
@@ -289,12 +307,12 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
     def add_rows(setting: np.ndarray) -> None:
         rows.append(_setting_rows(setting))
         rhs.append(evidence_probability(tree))
-        lines, skipped = _extract_lines(tree, params)  # looks up current row values
+        lines, skipped = _pick(tree.net, params, _family_lines(tree, variables))
         if skipped:
             raise DegenerateParameterError(
                 "a parameter reached value 1 at an analysis setting")
-        for ref in params:
-            rhs.extend((lines[ref].slope, lines[ref].intercept))
+        for (line,) in lines.values():
+            rhs.extend((line.slope, line.intercept))
 
     propagate_full(tree, evidence)
     add_rows(operating)

@@ -1,16 +1,22 @@
 """One-way sensitivity analysis on a propagated junction tree.
 
 The posterior of interest, as a function of a single CPT entry under
-proportional co-variation, is a quotient of two lines.  Both lines are read
-off the propagated junction tree:
+proportional co-variation, is a quotient of two lines.  Both lines of every
+entry of a variable's CPT come from one read of the variable's family per
+pass: p(family, e) from the family's cheapest holder in the tree, and the
+derivative of p(e) in each CPT entry (the mass divided by the entry, or, at
+a zero entry, the family clique's factors with the variable's own CPT left
+out).  Both are (rows, states) arrays in CPT order, and every parameter's
+line is picked out of the arrays computed from them.  One inward and two
+outward propagations serve every parameter at once, by either route:
 
-* the *local-extraction* route computes a line's slope and intercept directly
-  from p(family, e) of the parameter's variable, read from the family's
-  cheapest holder in the tree (one read per variable, after one inward and
-  at most two outward propagations for every parameter at once);
-* the *two-point* route propagates at a second parameter value and fits the
-  line through the two evaluations (used when all posteriors for one
-  parameter are wanted).
+* *local extraction* reads each line's slope and intercept straight off the
+  mass and its derivative;
+* *two-point* evaluates the mass at a second parameter value from the same
+  arrays and fits the line through the two evaluations.
+
+Every posterior's line pair in one parameter is fitted through two
+propagations, at the current value and at a second one.
 
 Both routes exist as public operations and must agree to high precision; the
 tests hold them to the enumeration oracle as well.
@@ -25,11 +31,9 @@ import numpy as np
 from .errors import BnsenseError
 from .functions import LinearCoeffs, SensitivityFunction, derivative, evaluate
 from .jtree import JunctionTree
-from .network import (Evidence, Network, ParameterRef, QueryRef, covary_row,
-                      enumerate_parameters)
-from .potentials import Potential
-from .propagation import (collect, distribute, enter_finding, evidence_probability,
-                          marginal, propagate_full)
+from .network import Evidence, Network, ParameterRef, QueryRef, enumerate_parameters
+from .propagation import (collect, distribute, enter_evidence, evidence_probability,
+                          marginal, propagate_full, require_possible)
 
 __all__ = ["relevant_parameters", "one_output_all_params_m1", "one_output_all_params_m2",
            "all_outputs_one_param", "OneWayAnalysis", "OneParamAnalysis",
@@ -112,53 +116,84 @@ def relevant_parameters(net: Network, query: QueryRef,
 
 
 # ---------------------------------------------------------------------------
-# local extraction of line coefficients from clique potentials
+# lines by family
 
 
-def _family_marginal(tree: JunctionTree, var: int,
-                     cache: dict[int, Potential]) -> Potential:
-    """p(family, e) of the variable, read from the family's cheapest holder in the tree."""
-    marg = cache.get(var)
-    if marg is None:
-        marg = cache[var] = tree.joint(tree.net.family(var))
-    return marg
+def _family_lines(tree: JunctionTree, variables, two_point: bool = False
+                  ) -> dict[int, LinearCoeffs]:
+    """Lines of the tree's current mass in every CPT entry of each variable.
+
+    Requires a consistent tree.  One read per variable gives `mass`,
+    p(family, e) from the family's cheapest holder, and `grad`, the
+    derivative of the mass in each CPT entry (Darwiche, JACM 2003), both as
+    (rows, states) arrays in CPT order.  `grad` is mass / entry where the
+    entry is positive; at a zero entry the mass vanishes whatever the slope,
+    so `grad` is read there from the family clique's factors with the
+    variable's own CPT left out.  Under proportional co-variation of entry
+    (r, s), the mass of its row's other states, `covaried`, scales by
+    (1 - x) / (1 - x0) and the mass outside the row stays put.
+
+    Local extraction gives the line directly: slope grad - covaried / (1 - x0).
+    The two-point route (`two_point`) evaluates the mass at a second value
+    and fits the line through it and p(e).  Entries at value 1 come out as
+    nan; `_pick` skips them.
+    """
+    net = tree.net
+    pe = evidence_probability(tree)
+    lines: dict[int, LinearCoeffs] = {}
+    for var in variables:
+        cpt = net.cpts[var]
+        family = net.family(var)
+        order = [family.index(v) for v in net.parents[var] + (var,)]
+        joint = tree.joint(family)
+        mass = joint.table.transpose(order).reshape(cpt.shape)
+        total = joint.total()
+        rowsum = mass.sum(axis=1, keepdims=True)
+        covaried = rowsum - mass
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad = mass / cpt
+            if not cpt.all():
+                left_out = tree.local_product(tree.family_clique[var], family, omit=var)
+                grad = np.where(cpt == 0, left_out.table.transpose(order).reshape(cpt.shape),
+                                grad)
+            if two_point:
+                x2 = _second_value(cpt)
+                at_x2 = x2 * grad + (1.0 - x2) / (1.0 - cpt) * covaried + (total - rowsum)
+                lines[var] = _line_through(cpt, pe, x2, at_x2)
+            else:
+                shrink = covaried / (1.0 - cpt)
+                lines[var] = LinearCoeffs(grad - shrink, shrink + (total - mass - covaried))
+    return lines
 
 
-def _row_mass_by_state(tree: JunctionTree, marg: Potential, var: int,
-                       parent_config: tuple[int, ...]) -> np.ndarray:
-    """A family marginal's masses at one parent row, one per state of the variable."""
-    assign = dict(zip(tree.net.parents[var], parent_config))
-    idx = tuple(slice(None) if v == var else assign[v] for v in marg.vars)
-    return np.asarray(marg.table[idx], dtype=float)
+def _pick(net: Network, params: list[ParameterRef], *lines: dict[int, LinearCoeffs]):
+    """Each parameter's line from each table of `_family_lines`, and the skipped ones.
 
-
-def _extract_lines(tree: JunctionTree, params: list[ParameterRef]):
-    """Line coefficients of the tree's current total mass in each parameter.
-
-    Requires a consistent tree.  For parameter p(b_i | pi) of variable B, the
-    rows at (B, pi) of p(family(B), e) split the total mass into the part
-    carrying the parameter, the part co-varying with it, and the rest; slope
-    and intercept follow by dividing out the current row values.
     Degenerate parameters (value 1) are reported, not silently dropped.
     """
-    lines: dict[ParameterRef, LinearCoeffs] = {}
+    picked: dict[ParameterRef, tuple[LinearCoeffs, ...]] = {}
     skipped: list[tuple[ParameterRef, str]] = []
-    cache: dict[int, Potential] = {}
     for ref in params:
-        value = tree.net.parameter_value(ref)
-        if value >= 1.0:
+        at = (net.row_index(ref.variable, ref.parent_config), ref.state)
+        if net.cpts[ref.variable][at] >= 1.0:
             skipped.append((ref, "parameter value is 1; co-variation undefined"))
             continue
-        marg = _family_marginal(tree, ref.variable, cache)
-        mass = _row_mass_by_state(tree, marg, ref.variable, ref.parent_config)
-        total = marg.total()
-        held = float(mass[ref.state])
-        covaried = float(mass.sum()) - held
-        rest = total - held - covaried
-        direct = held / value if value > 0 else 0.0  # 0/0 := 0 (mass vanishes with value)
-        shrink = covaried / (1.0 - value)
-        lines[ref] = LinearCoeffs(direct - shrink, shrink + rest)
-    return lines, skipped
+        picked[ref] = tuple(LinearCoeffs(float(table[ref.variable].slope[at]),
+                                         float(table[ref.variable].intercept[at]))
+                            for table in lines)
+    return picked, skipped
+
+
+def _analysis(net: Network, query: QueryRef, params: list[ParameterRef],
+              num: dict[int, LinearCoeffs], den: dict[int, LinearCoeffs]) -> OneWayAnalysis:
+    picked, skipped = _pick(net, params, num, den)
+    return OneWayAnalysis(query, {ref: SensitivityFunction(ref, *pair)
+                                  for ref, pair in picked.items()}, skipped)
+
+
+def _variables(params: list[ParameterRef]) -> list[int]:
+    """The parameters' variables, in order of first appearance."""
+    return list(dict.fromkeys(ref.variable for ref in params))
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +217,14 @@ def one_output_all_params_m1(tree: JunctionTree, query: QueryRef,
     """
     if params is None:
         params = enumerate_parameters(tree.net)
+    variables = _variables(params)
     home = tree.var_clique[query.variable]
     propagate_full(tree, evidence, root=home)
-    den_lines, skipped = _extract_lines(tree, params)
+    den = _family_lines(tree, variables)
 
     tree.inject_finding(home, query.variable, _indicator(tree, query))
     distribute(tree, home)
-    num_lines, _ = _extract_lines(tree, params)
-
-    functions = {
-        ref: SensitivityFunction(ref, num_lines[ref], den_lines[ref])
-        for ref in params if ref in den_lines
-    }
-    return OneWayAnalysis(query, functions, skipped)
+    return _analysis(tree.net, query, params, _family_lines(tree, variables), den)
 
 
 def one_output_all_params_m2(tree: JunctionTree, query: QueryRef,
@@ -205,73 +235,40 @@ def one_output_all_params_m2(tree: JunctionTree, query: QueryRef,
     One inward pass toward the query clique, one outward pass with the query
     indicator, one outward pass with the complementary finding.  Each pass
     evaluates p(target-or-complement, e) at the current parameter value and,
-    by reweighting the family's mass p(family, e) with a co-varied row, at a
-    second value; the two points fix the line.  Numerator lines come from the
-    indicator pass, denominator lines are the sum over the two passes.
+    from the family's mass and its derivative, at a second value; the two
+    points fix the line.  Numerator lines come from the indicator pass,
+    denominator lines are the sum over the two passes, and so is p(e), which
+    must be positive.
     """
     if params is None:
         params = enumerate_parameters(tree.net)
+    variables = _variables(params)
     home = tree.var_clique[query.variable]
-    tree.reset()
-    if evidence is not None:
-        for var, vec in evidence.items():
-            enter_finding(tree, var, vec)
+    enter_evidence(tree, evidence)
     collect(tree, home)
 
     tree.inject_finding(home, query.variable, _indicator(tree, query))
     distribute(tree, home)
-    num_lines, skipped = _two_point_lines(tree, params)
+    target_mass = evidence_probability(tree)
+    num = _family_lines(tree, variables, two_point=True)
 
     tree.inject_finding(home, query.variable, 1.0 - _indicator(tree, query))
     distribute(tree, home)
-    rest_lines, _ = _two_point_lines(tree, params)
-
-    functions = {}
-    for ref in params:
-        if ref not in num_lines:
-            continue
-        num = num_lines[ref]
-        rest = rest_lines[ref]
-        functions[ref] = SensitivityFunction(
-            ref, num, LinearCoeffs(num.slope + rest.slope, num.intercept + rest.intercept))
-    return OneWayAnalysis(query, functions, skipped)
+    require_possible(target_mass + evidence_probability(tree))
+    rest = _family_lines(tree, variables, two_point=True)
+    den = {var: LinearCoeffs(num[var].slope + rest[var].slope,
+                             num[var].intercept + rest[var].intercept) for var in variables}
+    return _analysis(tree.net, query, params, num, den)
 
 
-def _line_through(x1: float, y1: float, x2: float, y2: float) -> LinearCoeffs:
-    """The line through (x1, y1) and (x2, y2)."""
+def _line_through(x1, y1, x2, y2) -> LinearCoeffs:
+    """The line through (x1, y1) and (x2, y2), elementwise over arrays."""
     return LinearCoeffs((y1 - y2) / (x1 - x2), (x1 * y2 - x2 * y1) / (x1 - x2))
 
 
-def _second_value(x1: float) -> float:
-    return (x1 + 1.0) / 2.0 if x1 < 0.5 else x1 / 2.0
-
-
-def _two_point_lines(tree: JunctionTree, params: list[ParameterRef]):
-    """Lines of the tree's current mass in each parameter via row reweighting.
-
-    The family marginal carries the current row values; multiplying its
-    (B, pi) slices by covaried-row / current-row ratios evaluates the mass at
-    a second parameter value without touching the tree.
-    """
-    lines: dict[ParameterRef, LinearCoeffs] = {}
-    skipped: list[tuple[ParameterRef, str]] = []
-    cache: dict[int, Potential] = {}
-    mass_total = evidence_probability(tree)
-    for ref in params:
-        x1 = tree.net.parameter_value(ref)
-        if x1 >= 1.0:
-            skipped.append((ref, "parameter value is 1; co-variation undefined"))
-            continue
-        x2 = _second_value(x1)
-        marg = _family_marginal(tree, ref.variable, cache)
-        mass = _row_mass_by_state(tree, marg, ref.variable, ref.parent_config)
-        row1 = tree.net.row(ref.variable, ref.parent_config)
-        row2 = covary_row(row1, ref.state, x2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(row1 > 0, row2 / np.where(row1 > 0, row1, 1.0), 0.0)
-        reweighted = float((mass * ratio).sum()) + (marg.total() - float(mass.sum()))
-        lines[ref] = _line_through(x1, mass_total, x2, reweighted)
-    return lines, skipped
+def _second_value(x1):
+    """The second evaluation point of the two-point fit, elementwise over arrays."""
+    return np.where(x1 < 0.5, (x1 + 1.0) / 2.0, x1 / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +287,7 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     x1 = tree.net.parameter_value(ref)
     if x1 >= 1.0:
         raise BnsenseError("parameter value is 1; co-variation undefined")
-    x2 = _second_value(x1)
+    x2 = float(_second_value(x1))
     targets = range(tree.net.n_variables)
 
     home = tree.family_clique[ref.variable]

@@ -31,9 +31,9 @@ from .errors import BnsenseError, ImpossibleEvidenceError
 from .jtree import JunctionTree, PropagationStats
 from .network import Evidence, check_finding
 
-__all__ = ["PropagationStats", "enter_finding", "collect", "distribute",
-           "propagate_full", "evidence_probability", "marginal", "replay",
-           "retract_finding"]
+__all__ = ["PropagationStats", "enter_finding", "enter_evidence", "collect", "distribute",
+           "propagate_full", "require_possible", "evidence_probability", "marginal",
+           "replay", "retract_finding"]
 
 
 def enter_finding(tree: JunctionTree, var: int, vector) -> None:
@@ -95,22 +95,34 @@ def distribute(tree: JunctionTree, root: int = 0) -> None:
     tree.consistent = True
 
 
+def enter_evidence(tree: JunctionTree, evidence: Evidence | None = None) -> None:
+    """Reset the tree and register every finding of the evidence.
+
+    The tree needs a propagation afterwards.
+    """
+    tree.reset()
+    if evidence is not None:
+        for var, vec in evidence.items():
+            enter_finding(tree, var, vec)
+
+
+def require_possible(pe: float) -> float:
+    """p(e) as given; raises ImpossibleEvidenceError when it is not positive."""
+    if pe <= 0.0:
+        raise ImpossibleEvidenceError("the entered evidence has probability zero")
+    return pe
+
+
 def propagate_full(tree: JunctionTree, evidence: Evidence | None = None,
                    root: int = 0) -> float:
     """Reset, enter the evidence, collect and distribute; returns p(e).
 
     Raises ImpossibleEvidenceError when the evidence has probability zero.
     """
-    tree.reset()
-    if evidence is not None:
-        for var, vec in evidence.items():
-            enter_finding(tree, var, vec)
+    enter_evidence(tree, evidence)
     collect(tree, root)
     distribute(tree, root)
-    pe = evidence_probability(tree)
-    if pe <= 0.0:
-        raise ImpossibleEvidenceError("the entered evidence has probability zero")
-    return pe
+    return require_possible(evidence_probability(tree))
 
 
 def evidence_probability(tree: JunctionTree) -> float:

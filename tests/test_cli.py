@@ -265,6 +265,20 @@ class TestExitCodes:
         assert rc == 3
         assert err == "impossible evidence: finding for 'B' is all-zero\n"
 
+    @pytest.mark.parametrize("method", ["1", "2", "both"])
+    def test_impossible_evidence_on_every_method(self, capsys, tmp_path, method):
+        path = tmp_path / "sure.json"
+        path.write_text(json.dumps(
+            {"variables": [{"name": "A", "states": ["y", "n"]},
+                           {"name": "B", "states": ["y", "n"]}],
+             "cpts": [{"variable": "A", "parents": [], "rows": [[1.0, 0.0]]},
+                      {"variable": "B", "parents": ["A"],
+                       "rows": [[1.0, 0.0], [0.2, 0.8]]}]}))
+        rc, out, err = run(capsys, "sens-out", "--net", str(path), "--evidence", "B=n",
+                           "--target", "A=y", "--method", method)
+        assert (rc, out) == (3, "")
+        assert err == "impossible evidence: the entered evidence has probability zero\n"
+
     def test_dependent_parameters(self, capsys):
         rc, _, err = run(capsys, "sens-n", "--net", R1,
                          "--params", "A:yes,B|A=yes:yes")

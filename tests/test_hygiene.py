@@ -1,12 +1,18 @@
-"""Every function, class and method the package defines is used somewhere.
+"""Every function, class and method the package defines is used somewhere,
+and every name a package module imports is used in that module.
 
-The scan collects every name the source, the tests and the benchmark harness
-mention: identifiers, attribute names, imported names, and string constants
-that spell an identifier (export lists and the tracer's wrap tables name
-functions as strings).  A module-level function or class of `bnsense`, or a
-method of one of its classes, that none of them mentions is dead code.
-Methods the interpreter calls (dunders) and overrides of a base-class method
-are used through the base class and are exempt.
+The first scan collects every name the source, the tests and the benchmark
+harness mention: identifiers, attribute names, imported names, and string
+constants that spell an identifier (export lists and the tracer's wrap
+tables name functions as strings).  A module-level function or class of
+`bnsense`, or a method of one of its classes, that none of them mentions is
+dead code.  Methods the interpreter calls (dunders) and overrides of a
+base-class method are used through the base class and are exempt.
+
+The second scan reads each module of `bnsense` on its own.  A name bound by
+an import there must be read as an identifier somewhere in the module or be
+listed in its `__all__`, which re-exports it.  `__init__.py` only
+re-exports and is exempt.
 """
 
 import ast
@@ -61,3 +67,27 @@ def test_every_definition_is_referenced():
     mentioned = _mentioned_names()
     unused = [qualified for qualified, name in _definitions() if name not in mentioned]
     assert unused == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by an import in the module that the module never uses."""
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    used = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    unused = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
+              if path.stem != "__init__" and (names := _unused_imports(path))}
+    assert unused == {}
