@@ -18,7 +18,8 @@ from .network import (Evidence, Network, ParameterRef, QueryRef, Variable,
                       load_network, network_from_dict, network_to_dict)
 from .jtree import JunctionTree, PropagationStats, build_junction_tree
 from .propagation import (collect, distribute, enter_finding, evidence_probability,
-                          marginal, propagate_full, replay, retract_finding)
+                          infer_marginal, marginal, propagate_full, replay,
+                          retract_finding)
 from .oneway import (OneParamAnalysis, OneWayAnalysis, all_outputs_one_param,
                      one_output_all_params_m1, one_output_all_params_m2,
                      relevant_parameters)

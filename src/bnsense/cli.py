@@ -37,7 +37,7 @@ from .oneway import (all_outputs_one_param, one_output_all_params_m1,
                      one_output_all_params_m2, relevant_parameters)
 from .oracle import (brute_evidence_probability, fit_linear_sf, random_evidence,
                      random_network)
-from .propagation import marginal, propagate_full
+from .propagation import infer_marginal, propagate_full
 
 __all__ = ["main"]
 
@@ -302,8 +302,7 @@ def _run_infer(args) -> int:
     evidence = _parse_evidence(net, args.evidence)
     var, state = _parse_target(net, args.target)
     tree = build_junction_tree(net)
-    propagate_full(tree, evidence)
-    dist = marginal(tree, var)
+    dist = infer_marginal(tree, var, evidence)
     dist = dist / dist.sum()
     states = range(len(dist)) if state is None else [state]
     name = net.variables[var].name

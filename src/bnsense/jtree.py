@@ -36,6 +36,11 @@ p(members, e), so `JunctionTree.joint` reads p(vars, e) from the cheapest
 of them that holds `vars`: often a sepset, whose read is one einsum of its
 two messages, rather than a large clique.  A variable-to-sepsets index,
 built on the first read, finds that holder.
+
+An inward or directed outward pass leaves only part of the tree current; the
+tree records that region (`current`, `pass_root`), and `joint` and
+`read_clique` raise `BnsenseError` outside it rather than read a message
+that was never sent or is stale.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ class PropagationStats:
     inward_propagations: int = 0
     outward_propagations: int = 0
     messages_passed: int = 0
+    entries_touched: int = 0    # the source clique's entries, summed over the messages sent
 
     def snapshot(self) -> tuple[int, int, int]:
         return (self.inward_propagations, self.outward_propagations, self.messages_passed)
@@ -297,6 +303,7 @@ class JunctionTree:
                                            if ids}
 
         self._sizes = [math.prod(net.arity(v) for v in c.members) for c in cliques]
+        self._every = frozenset(c.id for c in cliques)
         self._sepset_index: tuple | None = None   # built by the first `joint`
         self._holders: dict[tuple[int, ...], tuple[bool, int]] = {}
         self._cpt_factors: dict[int, Potential] = {}
@@ -305,7 +312,8 @@ class JunctionTree:
         self.injected: dict[int, dict[int, np.ndarray]] = {}
         self.messages: dict[tuple[int, int], Potential] = {}
         self.evidence_mass: float | None = None   # p(e), set by each outward pass
-        self.consistent = False
+        self.current: frozenset[int] = frozenset()  # cliques the last pass left current
+        self.pass_root: int | None = None         # root of the last pass, unless it was full
         self.stats = PropagationStats()
 
     # -- structure ---------------------------------------------------------
@@ -338,6 +346,10 @@ class JunctionTree:
             found = self._holders[vars] = min(candidates)[1:]
         return found
 
+    def clique_entries(self, cid: int) -> int:
+        """Number of entries of the clique's table."""
+        return self._sizes[cid]
+
     def charge(self, cid: int) -> Potential:
         """Evidence-free product of the CPTs assigned to the clique, as a dense table."""
         pot = Potential.ones(self.net, self.cliques[cid].members)
@@ -356,7 +368,7 @@ class JunctionTree:
         """Co-vary one CPT row in place; drops the variable's cached CPT factor."""
         self.net = apply_parameter(self.net, ref, x)
         self._cpt_factors.pop(ref.variable, None)
-        self.consistent = False
+        self.invalidate()
 
     def restore_network(self, net: Network) -> None:
         """Swap back a network of the same structure, such as the one before
@@ -365,7 +377,7 @@ class JunctionTree:
             if table is not self.net.cpts[v]:
                 self._cpt_factors.pop(v, None)
         self.net = net
-        self.consistent = False
+        self.invalidate()
 
     # -- finding registry ----------------------------------------------------
 
@@ -380,7 +392,7 @@ class JunctionTree:
         if var not in self.cliques[cid].members:
             raise BnsenseError(f"variable {var} not in clique {cid}")
         self.injected.setdefault(cid, {})[var] = np.asarray(vec, dtype=float)
-        self.consistent = False
+        self.invalidate()
 
     # -- potential views -----------------------------------------------------
 
@@ -452,10 +464,45 @@ class JunctionTree:
         After a full propagation every sepset and every clique holds
         p(members, e), so any holder gives the same table; the smallest one
         costs least.  A sepset read is one einsum of its two messages, a
-        clique read one `local_product`.
+        clique read one `local_product`.  The holder (both ends of a sepset)
+        must be current.
         """
         is_clique, idx = self.holder(vars)
-        return self.local_product(idx, vars) if is_clique else self._sepset_product(idx, vars)
+        if is_clique:
+            self.require_current((idx,))
+            return self.local_product(idx, vars)
+        self.require_current(self.sepsets[idx].cliques)
+        return self._sepset_product(idx, vars)
+
+    def read_clique(self, cid: int, vars: tuple[int, ...], *,
+                    omit: int | None = None) -> Potential:
+        """p(vars, e) from one current clique, without `omit`'s CPT if given."""
+        self.require_current((cid,))
+        return self.local_product(cid, vars, omit=omit)
+
+    # -- currency --------------------------------------------------------------
+
+    def invalidate(self) -> None:
+        """Mark every read stale: a factor or finding changed since the last pass."""
+        self.current = frozenset()
+        self.evidence_mass = None
+
+    def left_current(self, root: int, region: frozenset[int] | None) -> None:
+        """Record what a pass from `root` left current: `region`, or every clique if None."""
+        if region is None or region == self._every:
+            self.current, self.pass_root = self._every, None
+        else:
+            self.current, self.pass_root = region, root
+
+    def require_current(self, cliques) -> None:
+        """Raise BnsenseError unless the last pass left every one of `cliques` current."""
+        if not self.current:
+            raise BnsenseError("tree is not consistent; propagate first")
+        for cid in cliques:
+            if cid not in self.current:
+                raise BnsenseError(
+                    f"clique {cid} lies outside the region the pass from clique "
+                    f"{self.pass_root} left current")
 
     # -- maintenance -----------------------------------------------------------
 
@@ -464,8 +511,8 @@ class JunctionTree:
         self.findings.clear()
         self.injected.clear()
         self.messages.clear()
-        self.evidence_mass = None
-        self.consistent = False
+        self.invalidate()
+        self.pass_root = None
 
     def to_dict(self) -> dict:
         names = [v.name for v in self.net.variables]

@@ -16,7 +16,8 @@ Two routes compute the coefficients:
   deterministic fresh parameter settings, extended until full rank; each
   extra propagation re-sends only the messages the co-varied rows reach.
   A setting's line equations are the one-way local-extraction lines, read
-  one family per variable (`oneway._family_lines`).
+  one family per variable (`oneway._family_lines`), and those reads direct
+  every outward pass.
 
 Every equation row is a product over the subset lattice of per-parameter
 factor pairs (`functions.subset_products`): (1, x_i) where parameter i is
@@ -36,7 +37,7 @@ from .errors import (BnsenseError, CliqueMembershipError, DegenerateParameterErr
 from .functions import MultilinearFunction, evaluate_multilinear, subset_products
 from .jtree import JunctionTree
 from .network import Evidence, Network, ParameterRef
-from .oneway import _family_lines, _pick, _variables
+from .oneway import _family_lines, _pick, _variables, read_cliques
 from .propagation import evidence_probability, propagate_full, replay
 
 __all__ = ["check_independent", "same_clique_nway", "general_nway",
@@ -281,7 +282,7 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
                  lower_order: list[MultilinearFunction] | None = None) -> NWayResult:
     """Assemble and solve the coefficient system for arbitrary parameter sets.
 
-    The initial full propagation at the operating point contributes the
+    The initial propagation at the operating point contributes the
     evidence probability and every parameter's line there; given lower-order
     analyses contribute their coefficient equations.  While the system is
     rank-deficient, further propagations run at deterministic fresh settings,
@@ -289,7 +290,9 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
     setting co-varies the parameters' rows in place on the caller's tree and
     re-sends only the messages those rows reach (`replay`): the inward ones
     along the subtree joining the parameters' family cliques, then one
-    outward pass.  The tree gets its operating-point network back on return.
+    outward pass, rooted at the lowest family clique like the first
+    propagation and directed at the line reads.  The tree gets its
+    operating-point network back on return.
     """
     net = tree.net
     _require_analyzable(net, params)
@@ -314,7 +317,8 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
         for (line,) in lines.values():
             rhs.extend((line.slope, line.intercept))
 
-    propagate_full(tree, evidence)
+    reads = read_cliques(tree, variables)
+    propagate_full(tree, evidence, root=min(homes), reads=reads)
     add_rows(operating)
 
     for mf in lower_order or []:
@@ -344,7 +348,7 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
             setting = _extension_setting(extra, operating)
             for i, ref in enumerate(params):
                 tree.set_parameter(ref, float(setting[i]))
-            replay(tree, homes)
+            replay(tree, homes, reads)
             add_rows(setting)
     finally:
         tree.restore_network(net)

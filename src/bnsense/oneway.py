@@ -15,7 +15,11 @@ outward propagations serve every parameter at once, by either route:
 * *two-point* evaluates the mass at a second parameter value from the same
   arrays and fits the line through the two evaluations.
 
-Every posterior's line pair in one parameter is fitted through two
+Both routes direct their outward passes at the cliques the family reads use
+(`read_cliques`), so a parameter that relevance screening drops costs no
+message.
+
+Every posterior's line pair in one parameter is fitted through two full
 propagations, at the current value and at a second one.
 
 Both routes exist as public operations and must agree to high precision; the
@@ -35,9 +39,9 @@ from .network import Evidence, Network, ParameterRef, QueryRef, enumerate_parame
 from .propagation import (collect, distribute, enter_evidence, evidence_probability,
                           marginal, propagate_full, require_possible)
 
-__all__ = ["relevant_parameters", "one_output_all_params_m1", "one_output_all_params_m2",
-           "all_outputs_one_param", "OneWayAnalysis", "OneParamAnalysis",
-           "evaluate", "derivative"]
+__all__ = ["relevant_parameters", "read_cliques", "one_output_all_params_m1",
+           "one_output_all_params_m2", "all_outputs_one_param", "OneWayAnalysis",
+           "OneParamAnalysis", "evaluate", "derivative"]
 
 
 @dataclass
@@ -119,14 +123,34 @@ def relevant_parameters(net: Network, query: QueryRef,
 # lines by family
 
 
+def _zero_clique(tree: JunctionTree, var: int) -> int | None:
+    """The clique `_family_lines` reads zero entries' derivatives from: the
+    family clique if the variable's CPT has a zero, else None."""
+    return None if tree.net.cpts[var].all() else tree.family_clique[var]
+
+
+def read_cliques(tree: JunctionTree, variables) -> set[int]:
+    """The cliques `_family_lines` reads for these variables: each family's
+    cheapest holder, as `JunctionTree.joint` picks it (both ends of a
+    sepset), and its `_zero_clique`."""
+    cliques: set[int] = set()
+    for var in variables:
+        is_clique, idx = tree.holder(tree.net.family(var))
+        cliques.update((idx,) if is_clique else tree.sepsets[idx].cliques)
+        zero_clique = _zero_clique(tree, var)
+        if zero_clique is not None:
+            cliques.add(zero_clique)
+    return cliques
+
+
 def _family_lines(tree: JunctionTree, variables, two_point: bool = False
                   ) -> dict[int, LinearCoeffs]:
     """Lines of the tree's current mass in every CPT entry of each variable.
 
-    Requires a consistent tree.  One read per variable gives `mass`,
-    p(family, e) from the family's cheapest holder, and `grad`, the
-    derivative of the mass in each CPT entry (Darwiche, JACM 2003), both as
-    (rows, states) arrays in CPT order.  `grad` is mass / entry where the
+    Requires the cliques of `read_cliques` current.  One read per variable
+    gives `mass`, p(family, e) from the family's cheapest holder, and `grad`,
+    the derivative of the mass in each CPT entry (Darwiche, JACM 2003), both
+    as (rows, states) arrays in CPT order.  `grad` is mass / entry where the
     entry is positive; at a zero entry the mass vanishes whatever the slope,
     so `grad` is read there from the family clique's factors with the
     variable's own CPT left out.  Under proportional co-variation of entry
@@ -142,6 +166,7 @@ def _family_lines(tree: JunctionTree, variables, two_point: bool = False
     pe = evidence_probability(tree)
     lines: dict[int, LinearCoeffs] = {}
     for var in variables:
+        zero_clique = _zero_clique(tree, var)
         cpt = net.cpts[var]
         family = net.family(var)
         order = [family.index(v) for v in net.parents[var] + (var,)]
@@ -152,8 +177,8 @@ def _family_lines(tree: JunctionTree, variables, two_point: bool = False
         covaried = rowsum - mass
         with np.errstate(divide="ignore", invalid="ignore"):
             grad = mass / cpt
-            if not cpt.all():
-                left_out = tree.local_product(tree.family_clique[var], family, omit=var)
+            if zero_clique is not None:
+                left_out = tree.read_clique(zero_clique, family, omit=var)
                 grad = np.where(cpt == 0, left_out.table.transpose(order).reshape(cpt.shape),
                                 grad)
             if two_point:
@@ -219,11 +244,12 @@ def one_output_all_params_m1(tree: JunctionTree, query: QueryRef,
         params = enumerate_parameters(tree.net)
     variables = _variables(params)
     home = tree.var_clique[query.variable]
-    propagate_full(tree, evidence, root=home)
+    reads = read_cliques(tree, variables)
+    propagate_full(tree, evidence, root=home, reads=reads)
     den = _family_lines(tree, variables)
 
     tree.inject_finding(home, query.variable, _indicator(tree, query))
-    distribute(tree, home)
+    distribute(tree, home, reads)
     return _analysis(tree.net, query, params, _family_lines(tree, variables), den)
 
 
@@ -244,16 +270,17 @@ def one_output_all_params_m2(tree: JunctionTree, query: QueryRef,
         params = enumerate_parameters(tree.net)
     variables = _variables(params)
     home = tree.var_clique[query.variable]
+    reads = read_cliques(tree, variables)
     enter_evidence(tree, evidence)
     collect(tree, home)
 
     tree.inject_finding(home, query.variable, _indicator(tree, query))
-    distribute(tree, home)
+    distribute(tree, home, reads)
     target_mass = evidence_probability(tree)
     num = _family_lines(tree, variables, two_point=True)
 
     tree.inject_finding(home, query.variable, 1.0 - _indicator(tree, query))
-    distribute(tree, home)
+    distribute(tree, home, reads)
     require_possible(target_mass + evidence_probability(tree))
     rest = _family_lines(tree, variables, two_point=True)
     den = {var: LinearCoeffs(num[var].slope + rest[var].slope,
@@ -282,7 +309,7 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     Propagate at the current value, record every variable's marginal and p(e);
     co-vary the parameter's row to a second value, replay one outward pass
     from the family clique, record again; fit every line through its two
-    points.
+    points.  The tree gets its operating-point network back on return.
     """
     x1 = tree.net.parameter_value(ref)
     if x1 >= 1.0:
@@ -295,10 +322,14 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     first = {var: marginal(tree, var) for var in targets}
     pe1 = evidence_probability(tree)
 
-    tree.set_parameter(ref, x2)
-    distribute(tree, home)
-    second = {var: marginal(tree, var) for var in targets}
-    pe2 = evidence_probability(tree)
+    net = tree.net
+    try:
+        tree.set_parameter(ref, x2)
+        distribute(tree, home)
+        second = {var: marginal(tree, var) for var in targets}
+        pe2 = evidence_probability(tree)
+    finally:
+        tree.restore_network(net)
 
     den = _line_through(x1, pe1, x2, pe2)
     functions = {

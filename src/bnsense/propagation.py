@@ -21,6 +21,12 @@ outward pass from its attachment clique yields the tree for the reduced
 evidence set.  The same replay covers a change at several cliques, such as
 co-varied CPT rows: only the messages directed away from a changed clique
 are sent again (`replay`).
+
+Given the cliques an analysis reads (`reads`), an outward pass sends only
+the messages on the paths from its root to them, skipping messages nobody
+consumes (Madsen & Jensen, AIJ 1999); it still counts as one outward
+propagation.  One variable's posterior needs no outward pass: the root of an
+inward pass holds p(members, e) (`infer_marginal`).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .network import Evidence, check_finding
 
 __all__ = ["PropagationStats", "enter_finding", "enter_evidence", "collect", "distribute",
            "propagate_full", "require_possible", "evidence_probability", "marginal",
-           "replay", "retract_finding"]
+           "infer_marginal", "replay", "retract_finding"]
 
 
 def enter_finding(tree: JunctionTree, var: int, vector) -> None:
@@ -43,7 +49,7 @@ def enter_finding(tree: JunctionTree, var: int, vector) -> None:
     message computation lazily; the tree needs a propagation afterwards.
     """
     tree.findings[var] = check_finding(tree.net, var, vector)
-    tree.consistent = False
+    tree.invalidate()
 
 
 def _bfs(tree: JunctionTree, root: int):
@@ -63,36 +69,77 @@ def _bfs(tree: JunctionTree, root: int):
     return order, parent
 
 
+def _region(parent: dict[int, tuple[int, int]], root: int, reads: set[int]) -> frozenset[int]:
+    """The root and every clique on its paths to the `reads` cliques."""
+    region = {root}
+    for cid in reads:
+        while cid not in region:
+            region.add(cid)
+            cid = parent[cid][0]
+    return frozenset(region)
+
+
 def _send(tree: JunctionTree, src: int, dst: int, s_idx: int) -> None:
     tree.messages[(src, dst)] = tree.local_product(src, tree.sepsets[s_idx].members,
                                                    without=dst)
     tree.stats.messages_passed += 1
+    tree.stats.entries_touched += tree.clique_entries(src)
+
+
+def _require_root(tree: JunctionTree, root: int) -> None:
+    """An outward pass from `root` needs every message toward it current."""
+    if tree.sepsets and not tree.messages:
+        raise BnsenseError("no inward pass since the tree was reset; collect first")
+    if tree.pass_root is not None and root != tree.pass_root:
+        raise BnsenseError(
+            f"the last pass was directed from clique {tree.pass_root}; an outward "
+            f"pass from clique {root} needs a full propagation first")
+
+
+def _require_full(tree: JunctionTree, what: str) -> None:
+    """Raise unless the last pass left every clique current."""
+    if tree.pass_root is not None:
+        raise BnsenseError(
+            f"{what} needs a full propagation; the last pass was directed from "
+            f"clique {tree.pass_root}")
+    tree.require_current(())
 
 
 def collect(tree: JunctionTree, root: int = 0) -> None:
-    """Pass messages leaf-to-root over the tree; one inward propagation."""
+    """Pass messages leaf-to-root over the tree; one inward propagation.
+
+    Leaves only the root current.
+    """
     order, parent = _bfs(tree, root)
     for cid in reversed(order[1:]):
         p, s_idx = parent[cid]
         _send(tree, cid, p, s_idx)
     tree.stats.inward_propagations += 1
+    tree.evidence_mass = None
+    tree.left_current(root, frozenset((root,)))
 
 
-def distribute(tree: JunctionTree, root: int = 0) -> None:
+def distribute(tree: JunctionTree, root: int = 0, reads: set[int] | None = None) -> None:
     """Pass messages root-to-leaves over the tree; one outward propagation.
 
     Records p(e) as the root's total.  Also the replay primitive: after
     changing what is attached at (or assigned to) a clique, distributing from
     that clique rebuilds every message directed away from it, because messages
     directed toward it never depended on it.
+
+    Given `reads`, only the messages on the paths from the root to those
+    cliques are sent, and only those paths are left current.
     """
+    _require_root(tree, root)
     order, parent = _bfs(tree, root)
+    region = None if reads is None else _region(parent, root, reads)
     for cid in order[1:]:
-        p, s_idx = parent[cid]
-        _send(tree, p, cid, s_idx)
+        if region is None or cid in region:
+            p, s_idx = parent[cid]
+            _send(tree, p, cid, s_idx)
     tree.evidence_mass = tree.local_product(root, ()).total()
     tree.stats.outward_propagations += 1
-    tree.consistent = True
+    tree.left_current(root, region)
 
 
 def enter_evidence(tree: JunctionTree, evidence: Evidence | None = None) -> None:
@@ -114,15 +161,30 @@ def require_possible(pe: float) -> float:
 
 
 def propagate_full(tree: JunctionTree, evidence: Evidence | None = None,
-                   root: int = 0) -> float:
-    """Reset, enter the evidence, collect and distribute; returns p(e).
+                   root: int = 0, reads: set[int] | None = None) -> float:
+    """Reset, enter the evidence, collect and distribute (directed by
+    `reads`, if given); returns p(e).
 
     Raises ImpossibleEvidenceError when the evidence has probability zero.
     """
     enter_evidence(tree, evidence)
     collect(tree, root)
-    distribute(tree, root)
+    distribute(tree, root, reads)
     return require_possible(evidence_probability(tree))
+
+
+def infer_marginal(tree: JunctionTree, var: int,
+                   evidence: Evidence | None = None) -> np.ndarray:
+    """p(var, e) read at the root of one inward pass, the variable's first clique.
+
+    Raises ImpossibleEvidenceError when the evidence has probability zero.
+    """
+    enter_evidence(tree, evidence)
+    home = tree.var_clique[var]
+    collect(tree, home)
+    joint = tree.read_clique(home, (var,)).table.copy()
+    require_possible(float(joint.sum()))
+    return joint
 
 
 def evidence_probability(tree: JunctionTree) -> float:
@@ -135,38 +197,36 @@ def evidence_probability(tree: JunctionTree) -> float:
 def marginal(tree: JunctionTree, var: int) -> np.ndarray:
     """p(var, e) read from the smallest sepset or clique holding the variable.
 
-    Always a fresh array: a clique holding nothing but the variable's own CPT
-    would otherwise hand back a read-only view of that CPT.
+    Needs a full propagation.  Always a fresh array: a clique holding nothing
+    but the variable's own CPT would otherwise hand back a read-only view of
+    that CPT.
     """
-    if not tree.consistent:
-        raise BnsenseError("tree is not consistent; propagate first")
+    _require_full(tree, "marginal")
     return tree.joint((var,)).table.copy()
 
 
-def replay(tree: JunctionTree, changed: set[int]) -> None:
+def replay(tree: JunctionTree, changed: set[int], reads: set[int] | None = None) -> None:
     """Restore consistency after the factors of the `changed` cliques changed.
 
     Only the messages directed away from a changed clique depend on it.
     Rooted at the lowest changed clique, those are the inward messages along
     the subtree joining the changed cliques, and every outward message: one
     collect over that subtree (none for a single clique, as in
-    `retract_finding`), then one distribute.  Messages directed toward the
-    subtree from outside it never saw the change and are kept.
+    `retract_finding`), then one distribute, directed by `reads` if given.
+    Messages directed toward the subtree from outside it never saw the
+    change and are kept.
     """
     root = min(changed)
+    _require_root(tree, root)
     order, parent = _bfs(tree, root)
-    joining: set[int] = set()
-    for cid in changed:
-        while cid != root and cid not in joining:
-            joining.add(cid)
-            cid = parent[cid][0]
-    if joining:
+    joining = _region(parent, root, changed)
+    if len(joining) > 1:
         for cid in reversed(order[1:]):
             if cid in joining:
                 p, s_idx = parent[cid]
                 _send(tree, cid, p, s_idx)
         tree.stats.inward_propagations += 1
-    distribute(tree, root)
+    distribute(tree, root, reads)
 
 
 def retract_finding(tree: JunctionTree, var: int) -> None:
@@ -179,8 +239,7 @@ def retract_finding(tree: JunctionTree, var: int) -> None:
     """
     if var not in tree.findings:
         raise BnsenseError(f"variable {var} has no finding to retract")
-    if not tree.consistent:
-        raise BnsenseError("tree is not consistent; propagate before retracting")
+    _require_full(tree, "retraction")
     del tree.findings[var]
     home = tree.family_clique[var]
     distribute(tree, home)

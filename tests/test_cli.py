@@ -45,6 +45,18 @@ SENS_N_SAME_CLIQUE_GOLDEN = """\
 """
 
 
+def _sure_network(tmp_path) -> str:
+    """A -> B with p(A=y) = 1 and p(B=n | A=y) = 0, so the evidence B=n is impossible."""
+    path = tmp_path / "sure.json"
+    path.write_text(json.dumps(
+        {"variables": [{"name": "A", "states": ["y", "n"]},
+                       {"name": "B", "states": ["y", "n"]}],
+         "cpts": [{"variable": "A", "parents": [], "rows": [[1.0, 0.0]]},
+                  {"variable": "B", "parents": ["A"],
+                   "rows": [[1.0, 0.0], [0.2, 0.8]]}]}))
+    return str(path)
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -74,6 +86,13 @@ class TestInfer:
                          "--evidence", "B=yes", "--target", "A=no")
         assert rc == 0
         assert out == "A no 0.5714285714\n"
+
+    def test_stats_line_is_one_inward_pass(self, capsys):
+        rc, out, err = run(capsys, "infer", "--net", R2, "--evidence", "C=yes",
+                           "--target", "A", "--stats")
+        assert rc == 0
+        assert out == "A yes 0.3636363636\nA no 0.6363636364\n"
+        assert err == "inward=1 outward=0 messages=1\n"
 
 
 class TestSensOut:
@@ -267,15 +286,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("method", ["1", "2", "both"])
     def test_impossible_evidence_on_every_method(self, capsys, tmp_path, method):
-        path = tmp_path / "sure.json"
-        path.write_text(json.dumps(
-            {"variables": [{"name": "A", "states": ["y", "n"]},
-                           {"name": "B", "states": ["y", "n"]}],
-             "cpts": [{"variable": "A", "parents": [], "rows": [[1.0, 0.0]]},
-                      {"variable": "B", "parents": ["A"],
-                       "rows": [[1.0, 0.0], [0.2, 0.8]]}]}))
-        rc, out, err = run(capsys, "sens-out", "--net", str(path), "--evidence", "B=n",
-                           "--target", "A=y", "--method", method)
+        rc, out, err = run(capsys, "sens-out", "--net", _sure_network(tmp_path),
+                           "--evidence", "B=n", "--target", "A=y", "--method", method)
+        assert (rc, out) == (3, "")
+        assert err == "impossible evidence: the entered evidence has probability zero\n"
+
+    def test_impossible_evidence_from_the_inward_pass(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "infer", "--net", _sure_network(tmp_path),
+                           "--evidence", "B=n", "--target", "A")
         assert (rc, out) == (3, "")
         assert err == "impossible evidence: the entered evidence has probability zero\n"
 

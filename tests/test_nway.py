@@ -148,7 +148,10 @@ class TestGeneralRoute:
         The coefficients agree with the oracle and with the same solver run
         on full propagations.  Each extra setting sends, inward, the edges
         whose two sides both hold a parameter's family clique (the subtree
-        joining them) and, outward, every edge once.
+        joining them) and, outward, the edges on the paths from the lowest
+        family clique to the cliques the line reads use: each family's
+        cheapest holder (both ends of a sepset), and its family clique where
+        the CPT has a zero.
         """
         rng = np.random.default_rng(54 if connected else 55)
         cases = 0
@@ -174,7 +177,8 @@ class TestGeneralRoute:
                     expected.coefficients[mask], abs=AGREEMENT_TOLERANCE)
 
             with monkeypatch.context() as m:
-                m.setattr(nway, "replay", lambda t, changed: (collect(t), distribute(t)))
+                m.setattr(nway, "replay",
+                          lambda t, changed, reads: (collect(t), distribute(t)))
                 full = general_nway(build_junction_tree(net), params, ev)
             assert full.extra_propagations == result.extra_propagations >= 1
             assert_allclose([result.function.coefficients[k] for k in range(1 << len(params))],
@@ -184,10 +188,23 @@ class TestGeneralRoute:
             edges = len(tree.sepsets)
             joining = sum(1 for sep in tree.sepsets if all(
                 homes & _side(tree, sep.cliques[k], sep.cliques[1 - k]) for k in (0, 1)))
+            read = set()
+            for var in {ref.variable for ref in params}:
+                is_clique, idx = tree.holder(net.family(var))
+                read |= {idx} if is_clique else set(tree.sepsets[idx].cliques)
+                if not net.cpts[var].all():
+                    read.add(tree.family_clique[var])
+            root = min(homes)
+            directed = 0
+            for sep in tree.sepsets:
+                a, b = sep.cliques
+                near = _side(tree, a, b)
+                far = _side(tree, b, a) if root in near else near
+                directed += bool(far & read)
             extra = result.extra_propagations
             assert joining >= 1
             assert result.stats == (1 + extra, 1 + extra,
-                                    2 * edges + extra * (joining + edges))
+                                    edges + directed + extra * (joining + directed))
 
     def test_lower_order_input_shrinks_the_budget(self):
         rng = np.random.default_rng(53)

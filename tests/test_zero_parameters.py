@@ -167,7 +167,7 @@ class TestZeroCorpus:
         for net, ev, query in zero_corpus:
             m1 = one_output_all_params_m1(build_junction_tree(net), query, ev)
             for ref, sf in m1.functions.items():
-                # a fresh tree each time: the sweep leaves its tree at the second value
+                # a fresh tree each time, as the CLI builds one per call
                 swept = all_outputs_one_param(build_junction_tree(net), ref,
                                               ev).functions[query.variable]
                 gap = np.subtract(sf.coefficients(), swept[query.state].coefficients())
