@@ -31,7 +31,7 @@ from .errors import (BnsenseError, ImpossibleEvidenceError, NetworkFormatError)
 from .functions import SensitivityFunction, derivative, evaluate
 from .jtree import build_junction_tree
 from .network import (Evidence, Network, ParameterRef, QueryRef, format_parameter,
-                      load_network)
+                      format_parent_config, load_network)
 from .nway import general_nway, same_clique_nway
 from .oneway import (all_outputs_one_param, one_output_all_params_m1,
                      one_output_all_params_m2, relevant_parameters)
@@ -270,19 +270,13 @@ def _print_stats(args, counts: tuple[int, int, int]) -> None:
         print(_stats_line(counts), file=sys.stderr)
 
 
-def _config_text(net: Network, ref: ParameterRef) -> str:
-    return ";".join(
-        f"{net.variables[p].name}={net.variables[p].states[s]}"
-        for p, s in zip(net.parents[ref.variable], ref.parent_config))
-
-
 def _function_row(net: Network, ref: ParameterRef, sf: SensitivityFunction) -> list[str]:
     alpha, beta, gamma, delta = sf.coefficients()
     x0 = net.parameter_value(ref)
     return [format_parameter(net, ref),
             net.variables[ref.variable].name,
             net.variables[ref.variable].states[ref.state],
-            _config_text(net, ref),
+            format_parent_config(net, ref),
             REAL % alpha, REAL % beta, REAL % gamma, REAL % delta,
             REAL % evaluate(sf, x0), REAL % derivative(sf, x0)]
 

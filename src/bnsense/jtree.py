@@ -2,19 +2,18 @@
 
 The pipeline is the classical one — moralize the DAG, triangulate greedily by
 weighted minimum fill (a fill edge costs the product of its ends' arities;
-lowest variable id on ties), read the maximal cliques off the elimination,
-and connect them by a maximum-weight spanning tree over candidate sepsets.
-Weighting the fill keeps the total clique state space small when arities
-are mixed; with one arity throughout the order is plain min-fill's.  A
-disconnected network still compiles to one tree: its parts are joined by
-empty sepsets.  Every tie-break is fixed so that identical networks always
-produce identical trees.
+lowest variable id on ties), then read the maximal cliques and a clique tree
+joining them off the elimination order in one backward pass.  Weighting the
+fill keeps the total clique state space small when arities are mixed; with
+one arity throughout the order is plain min-fill's.  A disconnected network
+still compiles to one tree: its parts are joined by empty sepsets.  Every
+tie-break is fixed so that identical networks always produce identical
+trees.
 
 Each step does near-linear work on a sparse network.  Triangulation keeps
 the fill scores in a heap and rescores only the vertices an elimination
-touches; the maximal cliques come from a linear test on the elimination
-order; sepset candidates are the clique pairs that share a variable, read
-off a variable-to-cliques index, which also places each family and answers
+touches; the clique tree costs one step per edge of the triangulated graph;
+a variable-to-cliques index places each family and answers
 `clique_containing`.
 
 The tree also owns the mutable propagation state: a cache of per-variable CPT
@@ -177,15 +176,24 @@ def _fill_weight(work: dict[int, set[int]], arities: Sequence[int], v: int) -> i
     return weight // 2
 
 
-def _elimination_cliques(adj: dict[int, set[int]], order: tuple[int, ...],
-                         fills: set[frozenset[int]]) -> list[tuple[int, ...]]:
-    """Maximal cliques of the triangulated graph, sorted lexicographically.
+def _clique_tree(adj: dict[int, set[int]], order: tuple[int, ...],
+                 fills: set[frozenset[int]]) -> tuple[list[tuple[int, ...]], list[Sepset]]:
+    """Maximal cliques of the triangulated graph, sorted lexicographically,
+    and the clique tree the elimination order gives them.
 
-    Each vertex v gives the candidate {v} + its later-eliminated neighbours.
-    Along a perfect elimination order, a candidate is not maximal exactly
-    when some vertex u whose earliest later neighbour is v has one more later
-    neighbour than v (Tarjan & Yannakakis, SIAM J. Comput. 1984), which is a
-    linear-time test.
+    Walking the order backwards, each vertex v either joins a clique or
+    opens one (Blair & Peyton, *An introduction to chordal graphs and
+    clique trees*, 1993).  With no later-eliminated neighbour, v opens the
+    root clique of its part of the graph.  Otherwise let p be the earliest
+    eliminated of v's later neighbours: they all lie in the clique that owns
+    p, and if they are that whole clique, v joins it; if not, v opens a new
+    clique whose parent is p's, with v's later neighbours as the sepset.
+    Every vertex's owner is fixed when it is placed, so the walk is linear
+    in the edges of the triangulated graph.  Each part of a disconnected
+    graph but clique 0's is joined to clique 0 through its lowest clique by
+    an empty sepset (Jensen & Jensen, *Optimal junction trees*, UAI 1994),
+    whose messages are the scalar masses of the two sides.  Sepsets are
+    listed by their clique-id pairs.
     """
     position = {v: i for i, v in enumerate(order)}
     later: dict[int, set[int]] = {v: {a for a in ns if position[a] > position[v]}
@@ -193,31 +201,37 @@ def _elimination_cliques(adj: dict[int, set[int]], order: tuple[int, ...],
     for edge in fills:
         a, b = sorted(edge, key=position.__getitem__)
         later[a].add(b)
-    contained: set[int] = set()
-    for u in order:
-        if later[u]:
-            v = min(later[u], key=position.__getitem__)
-            if len(later[u]) == len(later[v]) + 1:
-                contained.add(v)
-    return sorted(tuple(sorted(later[v] | {v})) for v in order if v not in contained)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
+    members: list[list[int]] = []       # by order of opening
+    parent: list[int] = []              # the clique's own index at a root
+    separator: list[set[int]] = []
+    owner: dict[int, int] = {}
+    for v in reversed(order):
+        up = later[v]
+        if up:
+            home = owner[min(up, key=position.__getitem__)]
+            if len(up) == len(members[home]):
+                members[home].append(v)
+                owner[v] = home
+                continue
+        else:
+            home = len(members)
+        owner[v] = len(members)
+        members.append([v, *up])
+        parent.append(home)
+        separator.append(up)
+    cliques = [tuple(sorted(mem)) for mem in members]
+    rank = sorted(range(len(cliques)), key=cliques.__getitem__)
+    new_id = [0] * len(cliques)
+    for cid, c in enumerate(rank):
+        new_id[c] = cid
+    lowest = new_id[:]                  # lowest id in each subtree; at a root, in its part
+    for c in reversed(range(len(cliques))):   # children were opened after parents
+        lowest[parent[c]] = min(lowest[parent[c]], lowest[c])
+    sepsets = [Sepset((0, lowest[c]), ()) if parent[c] == c else
+               Sepset(tuple(sorted((new_id[c], new_id[parent[c]]))), tuple(sorted(separator[c])))
+               for c in range(len(cliques)) if parent[c] != c or lowest[c] != 0]
+    sepsets.sort(key=lambda s: s.cliques)
+    return [cliques[c] for c in rank], sepsets
 
 
 def _cliques_by_variable(n_variables: int, members: list[tuple[int, ...]]) -> list[list[int]]:
@@ -233,39 +247,6 @@ def _all_holding(index: list[list[int]], member_sets, vars):
     """Ids, in increasing order, of the sets holding every one of the (nonempty) `vars`."""
     holding = min((index[v] for v in vars), key=len)
     return (cid for cid in holding if member_sets[cid].issuperset(vars))
-
-
-def _spanning_sepsets(net: Network, members: list[tuple[int, ...]],
-                      index: list[list[int]]) -> list[Sepset]:
-    """Maximum-weight spanning tree over candidate sepsets.
-
-    Weight is the number of shared variables; ties prefer the larger joint
-    state space (mass), then the lexicographically smaller clique-id pair.
-    Only pairs of cliques that share a variable are scored; they are read
-    off the variable-to-cliques index.  If those pairs leave a forest (a
-    disconnected network), each remaining tree is joined to clique 0 through
-    its lowest clique by an empty sepset (Jensen & Jensen, *Optimal junction
-    trees*, UAI 1994), whose messages are the scalar masses of the two sides.
-    """
-    shared: dict[tuple[int, int], list[int]] = {}
-    for v, holding in enumerate(index):
-        for k, i in enumerate(holding):
-            for j in holding[k + 1:]:
-                shared.setdefault((i, j), []).append(v)
-    candidates = []
-    for (i, j), vars in shared.items():
-        mass = 1
-        for v in vars:
-            mass *= net.arity(v)
-        candidates.append((-len(vars), -mass, i, j, tuple(vars)))
-    candidates.sort()
-    uf = _UnionFind(len(members))
-    sepsets = []
-    for _, _, i, j, sep in candidates:
-        if uf.union(i, j):
-            sepsets.append(Sepset((i, j), sep))
-    sepsets.extend(Sepset((0, j), ()) for j in range(1, len(members)) if uf.union(0, j))
-    return sepsets
 
 
 def _merge_same_scope(factors):
@@ -345,6 +326,12 @@ class JunctionTree:
                               for c in _all_holding(self._holding, self._member_sets, vars))
             found = self._holders[vars] = min(candidates)[1:]
         return found
+
+    def holder_cliques(self, vars: tuple[int, ...]) -> tuple[int, ...]:
+        """The cliques a `joint(vars)` read needs current: the holder, or
+        both ends of a sepset holder."""
+        is_clique, idx = self.holder(vars)
+        return (idx,) if is_clique else self.sepsets[idx].cliques
 
     def clique_entries(self, cid: int) -> int:
         """Number of entries of the clique's table."""
@@ -464,14 +451,13 @@ class JunctionTree:
         After a full propagation every sepset and every clique holds
         p(members, e), so any holder gives the same table; the smallest one
         costs least.  A sepset read is one einsum of its two messages, a
-        clique read one `local_product`.  The holder (both ends of a sepset)
-        must be current.
+        clique read one `local_product`.  The `holder_cliques` must be
+        current.
         """
+        self.require_current(self.holder_cliques(vars))
         is_clique, idx = self.holder(vars)
         if is_clique:
-            self.require_current((idx,))
             return self.local_product(idx, vars)
-        self.require_current(self.sepsets[idx].cliques)
         return self._sepset_product(idx, vars)
 
     def read_clique(self, cid: int, vars: tuple[int, ...], *,
@@ -535,14 +521,14 @@ class JunctionTree:
 
 
 def build_junction_tree(net: Network) -> JunctionTree:
-    """Moralize, triangulate, extract cliques, connect, and assign families."""
+    """Moralize, triangulate, read the clique tree off the elimination order,
+    and place each family in the lowest-id clique that holds it."""
     if net.n_variables == 0:
         raise NetworkFormatError("cannot build a junction tree for an empty network")
     adj = moralize(net)
     order, fills = triangulate(adj, net.arities)
-    members = _elimination_cliques(adj, order, fills)
+    members, sepsets = _clique_tree(adj, order, fills)
     index = _cliques_by_variable(net.n_variables, members)
-    sepsets = _spanning_sepsets(net, members, index)
 
     member_sets = [set(mem) for mem in members]
     families: list[list[int]] = [[] for _ in members]

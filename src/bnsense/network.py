@@ -361,16 +361,20 @@ def enumerate_parameters(net: Network) -> list[ParameterRef]:
     return out
 
 
+def format_parent_config(net: Network, ref: ParameterRef) -> str:
+    """The parameter's parent configuration as "A=yes;C=no" ("" for a root)."""
+    return ";".join(
+        f"{net.variables[p].name}={net.variables[p].states[s]}"
+        for p, s in zip(net.parents[ref.variable], ref.parent_config))
+
+
 def format_parameter(net: Network, ref: ParameterRef) -> str:
     """Stable text form: "B|A=yes;C=no:yes" (root variables: "A:yes")."""
     vname = net.variables[ref.variable].name
     state = net.variables[ref.variable].states[ref.state]
     if not ref.parent_config:
         return f"{vname}:{state}"
-    pairs = ";".join(
-        f"{net.variables[p].name}={net.variables[p].states[s]}"
-        for p, s in zip(net.parents[ref.variable], ref.parent_config))
-    return f"{vname}|{pairs}:{state}"
+    return f"{vname}|{format_parent_config(net, ref)}:{state}"
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BnsenseError
+from .errors import DegenerateParameterError
 from .functions import LinearCoeffs, SensitivityFunction, derivative, evaluate
 from .jtree import JunctionTree
 from .network import Evidence, Network, ParameterRef, QueryRef, enumerate_parameters
@@ -130,13 +130,11 @@ def _zero_clique(tree: JunctionTree, var: int) -> int | None:
 
 
 def read_cliques(tree: JunctionTree, variables) -> set[int]:
-    """The cliques `_family_lines` reads for these variables: each family's
-    cheapest holder, as `JunctionTree.joint` picks it (both ends of a
-    sepset), and its `_zero_clique`."""
+    """The cliques `_family_lines` reads for these variables: those each
+    family's `JunctionTree.joint` read needs, and its `_zero_clique`."""
     cliques: set[int] = set()
     for var in variables:
-        is_clique, idx = tree.holder(tree.net.family(var))
-        cliques.update((idx,) if is_clique else tree.sepsets[idx].cliques)
+        cliques.update(tree.holder_cliques(tree.net.family(var)))
         zero_clique = _zero_clique(tree, var)
         if zero_clique is not None:
             cliques.add(zero_clique)
@@ -313,7 +311,7 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     """
     x1 = tree.net.parameter_value(ref)
     if x1 >= 1.0:
-        raise BnsenseError("parameter value is 1; co-variation undefined")
+        raise DegenerateParameterError("parameter value is 1; co-variation undefined")
     x2 = float(_second_value(x1))
     targets = range(tree.net.n_variables)
 

@@ -3,11 +3,20 @@
 The reference functions below are the straightforward versions of each
 step: triangulation rescans every remaining vertex per elimination, the
 maximality filter compares every pair of candidate cliques, every clique
-pair is scored for a sepset, every clique is scanned for each family, and
-relevance screening runs one ball search per variable.  The library must
-give exactly the same results: same elimination order and fill edges, same
-cliques, sepsets and family placement, same relevant sets, same
-topological order.
+pair is scored for a maximum-weight spanning tree (Kruskal), every clique is
+scanned for each family, and relevance screening runs one ball search per
+variable.  The library must give exactly the same elimination order and
+fill edges, cliques, family placement, relevant sets and topological
+order.
+
+The library reads its clique tree off the elimination order instead of
+running Kruskal.  Every clique tree of a chordal graph has the same
+multiset of separators, and every one is a maximum-weight spanning tree of
+the clique graph; two of them differ only in which clique pairs carry the
+edges, which is a tie-break.  So the library's sepsets are held to what
+defines a clique tree (a spanning tree whose sepsets are the intersections
+of their two cliques, with running intersection) and to the reference's
+separator multiset, not to Kruskal's choice of pairs.
 
 Triangulation is weighted min-fill: a fill edge counts the product of its
 ends' arities.  Plain min-fill, which counts every fill edge as 1, is kept
@@ -19,7 +28,7 @@ import numpy as np
 import pytest
 
 from bnsense import build_junction_tree
-from bnsense.jtree import _UnionFind, Sepset, moralize, triangulate
+from bnsense.jtree import Sepset, moralize, triangulate
 from bnsense.network import Network, Variable
 from bnsense.oneway import _ancestors_of_evidence, _influenced_variables
 from bnsense.oracle import random_network
@@ -92,7 +101,27 @@ def reference_elimination_cliques(adj, order, fills):
     return sorted(tuple(sorted(c)) for c in maximal)
 
 
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, a):
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
 def reference_spanning_sepsets(net, members):
+    """Kruskal: most shared variables first, then the larger joint state space,
+    then the lower clique-id pair; leftover parts join clique 0 by empty sepsets."""
     candidates = []
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -184,8 +213,36 @@ def reference_topological_order(parents, children):
 # comparison helpers
 
 
+def assert_clique_tree(cliques, sepsets):
+    """The sepsets join the cliques into a clique tree.
+
+    They span the cliques as a tree, each is exactly the intersection of its
+    two cliques, and the cliques holding any one variable form a connected
+    subtree (running intersection).  Since each sepset is an intersection, a
+    variable's cliques and the sepsets holding it form a sub-forest of the
+    tree, which is connected exactly when it has one edge fewer than
+    cliques.
+    """
+    uf = _UnionFind(len(cliques))
+    assert len(sepsets) == len(cliques) - 1
+    assert all(uf.union(*sep.cliques) for sep in sepsets)
+    for sep in sepsets:
+        i, j = sep.cliques
+        assert i < j
+        assert sep.members == tuple(sorted(set(cliques[i]) & set(cliques[j])))
+    holding = {}
+    for mem in cliques:
+        for v in mem:
+            holding[v] = holding.get(v, 0) + 1
+    for sep in sepsets:
+        for v in sep.members:
+            holding[v] -= 1
+    assert set(holding.values()) <= {1}
+
+
 def assert_tree_matches_reference(net, reference_order=None):
-    """Same order, fills, cliques, sepsets and families as the reference pipeline.
+    """Same order, fills, cliques and families as the reference pipeline, and
+    a clique tree with the reference's separators.
 
     `reference_order` stands in for the reference triangulation where that is
     too slow to run; the caller then checks the order separately.
@@ -198,7 +255,12 @@ def assert_tree_matches_reference(net, reference_order=None):
     members = reference_elimination_cliques(adj, order, fills)
     tree = build_junction_tree(net)
     assert [c.members for c in tree.cliques] == members
-    assert tree.sepsets == reference_spanning_sepsets(net, members)
+    assert_clique_tree(members, tree.sepsets)
+    assert tree.sepsets == sorted(tree.sepsets, key=lambda sep: sep.cliques)
+    reference = reference_spanning_sepsets(net, members)
+    assert sorted(sep.members for sep in tree.sepsets) == sorted(sep.members for sep in reference)
+    assert ([sep for sep in tree.sepsets if not sep.members]
+            == [sep for sep in reference if not sep.members])
     assert [c.families for c in tree.cliques] == reference_families(net, members)
     return tree
 
@@ -318,7 +380,7 @@ class TestLargeStructures:
             assert_relevance_matches_reference(net, target, evidence)
 
     def test_star(self):
-        """A hub with 999 children: one sepset candidate per pair of its 999 cliques.
+        """A hub with 999 children: the reference scores every pair of its 999 cliques.
 
         The reference triangulation rescans the hub's 998-neighbour fill count
         on every elimination, which takes many seconds at this size.  It is
@@ -334,3 +396,21 @@ class TestLargeStructures:
         assert_tree_matches_reference(net, (tuple(range(1, n - 1)) + (0, n - 1), set()))
         for target, evidence in [(0, set()), (500, set()), (500, {7}), (0, {1, 999})]:
             assert_relevance_matches_reference(net, target, evidence)
+
+    def test_star_of_paths(self):
+        """A hub whose children each have a child of their own, mixed arities:
+        the hub's cliques meet only in the hub, k - 1 of its k cliques' sepsets."""
+        k = 60
+        parents = [()] + [(0,)] * k + [(v,) for v in range(1, k + 1)]
+        net = _structure(parents, [3] + [2 + v % 3 for v in range(1, 2 * k + 1)])
+        tree = assert_tree_matches_reference(net)
+        assert len(tree.cliques) == 2 * k
+        assert sum(sep.members == (0,) for sep in tree.sepsets) == k - 1
+
+    def test_complete_graph(self):
+        """Every variable a parent of every later one: one clique, no sepset."""
+        n = 13
+        net = _structure([tuple(range(v)) for v in range(n)], [2] * n)
+        tree = assert_tree_matches_reference(net)
+        assert [c.members for c in tree.cliques] == [tuple(range(n))]
+        assert tree.sepsets == []

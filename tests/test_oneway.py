@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bnsense import (Evidence, QueryRef, all_outputs_one_param, build_junction_tree,
-                     derivative, evaluate, load_network, one_output_all_params_m1,
-                     one_output_all_params_m2, relevant_parameters)
+from bnsense import (DegenerateParameterError, Evidence, QueryRef, all_outputs_one_param,
+                     build_junction_tree, derivative, evaluate, load_network,
+                     one_output_all_params_m1, one_output_all_params_m2,
+                     relevant_parameters)
 from bnsense.network import enumerate_parameters
 from bnsense.oracle import fit_linear_sf, random_network
 from tests.conftest import possible_evidence
@@ -87,6 +88,13 @@ class TestAllOutputsOneParam:
         assert_allclose(sweep.functions[0][0].coefficients(), R2_COEFFS,
                         atol=FIXTURE_TOLERANCE)
         assert tree.stats.snapshot()[:2] == (1, 2)
+
+    def test_parameter_at_value_one_is_degenerate(self):
+        net = load_network({
+            "variables": [{"name": "A", "states": ["y", "n"]}],
+            "cpts": [{"variable": "A", "parents": [], "rows": [[1.0, 0.0]]}]})
+        with pytest.raises(DegenerateParameterError, match="value is 1"):
+            all_outputs_one_param(build_junction_tree(net), net.parameter(0, 0, ()))
 
     def test_no_evidence_denominator_is_unit(self, r1):
         tree = build_junction_tree(r1)
