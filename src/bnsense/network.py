@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -78,12 +79,9 @@ class Network:
         self.parents: tuple[tuple[int, ...], ...] = tuple(tuple(p) for p in parents)
         self.cpts: tuple[np.ndarray, ...] = tuple(map(_frozen_table, cpts))
         self._ids = {v.name: i for i, v in enumerate(self.variables)}
-        children: list[list[int]] = [[] for _ in self.variables]
-        for v, pars in enumerate(self.parents):
-            for p in pars:
-                children[p].append(v)
-        self._children = tuple(tuple(c) for c in children)
+        self._children = _children_of(self.parents)
         self._order = _topological_order(self.parents, self._children)
+        self._strides = tuple(_row_strides(self.arities, pars) for pars in self.parents)
 
     # -- basic lookups ---------------------------------------------------
 
@@ -120,12 +118,6 @@ class Network:
 
     # -- CPT row addressing ----------------------------------------------
 
-    def parent_arities(self, var: int) -> tuple[int, ...]:
-        return tuple(self.arity(p) for p in self.parents[var])
-
-    def n_rows(self, var: int) -> int:
-        return int(np.prod(self.parent_arities(var), dtype=int)) if self.parents[var] else 1
-
     def row_index(self, var: int, parent_config: tuple[int, ...]) -> int:
         """Row number of a parent configuration (last listed parent fastest)."""
         pars = self.parents[var]
@@ -133,30 +125,76 @@ class Network:
             raise NetworkFormatError(
                 f"variable {self.variables[var].name!r}: parent config has "
                 f"{len(parent_config)} entries, expected {len(pars)}")
-        if not pars:
-            return 0
-        return int(np.ravel_multi_index(parent_config, self.parent_arities(var)))
-
-    def parent_config_of_row(self, var: int, row: int) -> tuple[int, ...]:
-        if not self.parents[var]:
-            return ()
-        return tuple(int(i) for i in np.unravel_index(row, self.parent_arities(var)))
+        row = 0
+        for p, s, stride in zip(pars, parent_config, self._strides[var]):
+            if not 0 <= s < self.arities[p]:
+                raise NetworkFormatError(
+                    f"variable {self.variables[var].name!r}: parent "
+                    f"{self.variables[p].name!r} has no state {s!r}")
+            row += s * stride
+        return row
 
     def row(self, var: int, parent_config: tuple[int, ...]) -> np.ndarray:
         return self.cpts[var][self.row_index(var, parent_config)]
 
     def parameter(self, var: int, state: int, parent_config: tuple[int, ...]) -> ParameterRef:
-        value = float(self.row(var, parent_config)[state])
+        if not 0 <= state < self.arities[var]:
+            raise NetworkFormatError(
+                f"variable {self.variables[var].name!r} has no state {state!r}")
+        value = float(self.cpts[var][self.row_index(var, parent_config), state])
         return ParameterRef(var, state, tuple(parent_config), value)
 
     def parameter_value(self, ref: ParameterRef) -> float:
-        return float(self.row(ref.variable, ref.parent_config)[ref.state])
+        return float(self.cpts[ref.variable][self.row_index(ref.variable, ref.parent_config),
+                                             ref.state])
 
     # -- derived quantities ------------------------------------------------
 
     def joint_state_bits(self) -> float:
         """log2 of the joint state-space size (enumeration guard)."""
         return float(sum(math.log2(v.arity) for v in self.variables))
+
+    def ancestral(self, seeds) -> "Network":
+        """The sub-network of the variable ids in `seeds` and all their ancestors.
+
+        Every other variable is barren for a question about the seeds: it has
+        no seed at or below it, so its CPT sums out of p(seeds) to one and
+        dropping it changes no probability of the seeds (Baker & Boult, UAI
+        1990).  The kept variables keep their names, states, parent order and
+        CPT arrays (shared, not copied, and not validated again); their ids
+        keep their relative order, so CPT order and every report that follows
+        it are unchanged.  Returns `self` when nothing is dropped.
+
+        Nothing is derived again that can be read off this network: kept
+        variables keep their row strides, and the topological order is this
+        network's with the dropped variables left out (no kept variable
+        waits on a dropped one, so the lowest-id-first order restricts to the
+        sub-network's own).  Costs O(kept variables + their edges), plus one
+        scan of the order.
+        """
+        kept: set[int] = set()
+        stack = list(seeds)
+        while stack:
+            v = stack.pop()
+            if v not in kept:
+                kept.add(v)
+                stack.extend(self.parents[v])
+        if len(kept) == self.n_variables:
+            return self
+        old_ids = sorted(kept)
+        new_id = [-1] * self.n_variables
+        for i, v in enumerate(old_ids):
+            new_id[v] = i
+        sub = Network.__new__(Network)
+        sub.variables = tuple([self.variables[v] for v in old_ids])
+        sub.arities = tuple([self.arities[v] for v in old_ids])
+        sub.parents = tuple([tuple([new_id[p] for p in self.parents[v]]) for v in old_ids])
+        sub.cpts = tuple([self.cpts[v] for v in old_ids])
+        sub._ids = {x.name: i for i, x in enumerate(sub.variables)}
+        sub._children = _children_of(sub.parents)
+        sub._order = tuple([new_id[v] for v in self._order if v in kept])
+        sub._strides = tuple([self._strides[v] for v in old_ids])
+        return sub
 
     def with_cpt(self, var: int, table: np.ndarray) -> "Network":
         """A copy with one CPT replaced; the structure and its order are shared."""
@@ -170,6 +208,25 @@ def _frozen_table(table) -> np.ndarray:
     out = np.array(table, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _children_of(parents: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Each variable's children, in increasing id order."""
+    children: list[list[int]] = [[] for _ in parents]
+    for v, pars in enumerate(parents):
+        for p in pars:
+            children[p].append(v)
+    return tuple(map(tuple, children))
+
+
+def _row_strides(arities: tuple[int, ...], parents: tuple[int, ...]) -> tuple[int, ...]:
+    """Row-number step of each listed parent's state (last listed parent fastest)."""
+    strides = []
+    step = 1
+    for p in reversed(parents):
+        strides.append(step)
+        step *= arities[p]
+    return tuple(reversed(strides))
 
 
 def _topological_order(parents: tuple[tuple[int, ...], ...],
@@ -353,11 +410,10 @@ def apply_parameter(net: Network, ref: ParameterRef, x: float) -> Network:
 def enumerate_parameters(net: Network) -> list[ParameterRef]:
     """Every CPT entry, ordered by variable id, then row, then state."""
     out: list[ParameterRef] = []
-    for var in range(net.n_variables):
-        for r in range(net.n_rows(var)):
-            config = net.parent_config_of_row(var, r)
-            for s in range(net.arity(var)):
-                out.append(ParameterRef(var, s, config, float(net.cpts[var][r, s])))
+    for var, table in enumerate(net.cpts):
+        configs = itertools.product(*(range(net.arities[p]) for p in net.parents[var]))
+        for config, row in zip(configs, table.tolist()):
+            out.extend(ParameterRef(var, s, config, x) for s, x in enumerate(row))
     return out
 
 

@@ -201,6 +201,30 @@ class TestParameterEnumeration:
         moved = apply_parameter(r1, ref, 0.4)
         assert moved.parameter(1, 0, (0,)) == ref
 
+    def test_rows_are_c_order_over_the_listed_parents(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            net = random_network(rng)
+            keys = []
+            for ref in enumerate_parameters(net):
+                arities = [net.arity(p) for p in net.parents[ref.variable]]
+                row = int(np.ravel_multi_index(ref.parent_config, arities)) if arities else 0
+                assert net.row_index(ref.variable, ref.parent_config) == row
+                assert ref.initial_value == net.cpts[ref.variable][row, ref.state]
+                keys.append((ref.variable, row, ref.state))
+            assert keys == sorted(keys)
+            assert len(keys) == sum(t.size for t in net.cpts)
+
+    def test_out_of_range_indices_name_the_variable(self, r2):
+        with pytest.raises(NetworkFormatError, match="'B': parent 'A' has no state 5"):
+            r2.parameter(1, 0, (5,))
+        with pytest.raises(NetworkFormatError, match="'B': parent 'A' has no state -1"):
+            r2.parameter(1, 0, (-1,))
+        with pytest.raises(NetworkFormatError, match="'B' has no state 7"):
+            r2.parameter(1, 7, (0,))
+        with pytest.raises(NetworkFormatError, match="'B': parent config has 2 entries"):
+            r2.parameter(1, 0, (0, 0))
+
 
 class TestEvidence:
     def test_hard_finding_is_indicator(self, r1):
