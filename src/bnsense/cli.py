@@ -172,28 +172,42 @@ def _state(net: Network, var: int, label: str) -> int:
             f"variable {net.variables[var].name!r} has no state {label!r}") from None
 
 
-def _parse_evidence(net: Network, text: str) -> Evidence:
-    """Grammar: comma-separated findings, `V=s` hard, `V!=s` negative.
+def _findings(text: str) -> list[tuple[str, str, bool]]:
+    """Grammar: comma-separated findings, `V=s` hard, `V!=s` negative, as
+    (name, label, negated) tokens for `_resolve` on any network."""
+    findings = []
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        if "!=" in token:
+            name, _, label = token.partition("!=")
+        elif "=" in token:
+            name, _, label = token.partition("=")
+        else:
+            raise _UsageError(f"finding {token!r} is not VAR=state or VAR!=state")
+        findings.append((name.strip(), label.strip(), "!=" in token))
+    return findings
+
+
+def _resolve(net: Network, findings) -> list[tuple[int, int, bool]]:
+    """The findings as (variable, state, negated) on this network."""
+    resolved = []
+    for name, label, negated in findings:
+        var = _variable(net, name)
+        resolved.append((var, _state(net, var, label), negated))
+    return resolved
+
+
+def _evidence(net: Network, findings) -> Evidence:
+    """The findings on this network.
 
     Repeated findings on one variable multiply elementwise, so contradictory
     findings collapse to an all-zero vector and surface as impossible
     evidence.
     """
     vectors: dict[int, np.ndarray] = {}
-    for token in filter(None, (t.strip() for t in text.split(","))):
-        if "!=" in token:
-            name, _, label = token.partition("!=")
-            negate = True
-        elif "=" in token:
-            name, _, label = token.partition("=")
-            negate = False
-        else:
-            raise _UsageError(f"finding {token!r} is not VAR=state or VAR!=state")
-        var = _variable(net, name.strip())
-        state = _state(net, var, label.strip())
+    for var, state, negated in _resolve(net, findings):
         vec = np.zeros(net.arity(var))
         vec[state] = 1.0
-        if negate:
+        if negated:
             vec = 1.0 - vec
         vectors[var] = vectors[var] * vec if var in vectors else vec
     ev = Evidence(net)
@@ -202,10 +216,10 @@ def _parse_evidence(net: Network, text: str) -> Evidence:
     return ev
 
 
-def _requisite(net: Network, evidence: Evidence, *variables: int) -> Network:
-    """The part of the network an analysis of `variables` under `evidence`
-    reads: those variables, the finding variables and their ancestors."""
-    return net.ancestral({*variables, *evidence.variables()})
+def _requisite(net: Network, resolved, *variables: int) -> Network:
+    """The part of the network an analysis of `variables` under the `resolved`
+    findings reads: those variables, the finding variables and their ancestors."""
+    return net.ancestral({*variables, *(var for var, _, _ in resolved)})
 
 
 def _parse_target(net: Network, text: str) -> tuple[int, int | None]:
@@ -307,9 +321,10 @@ def _csv(rows: list[list[str]]) -> str:
 
 def _run_infer(args) -> int:
     net = _load_net(args.net)
-    net = _requisite(net, _parse_evidence(net, args.evidence),
-                     _parse_target(net, args.target)[0])
-    evidence = _parse_evidence(net, args.evidence)
+    findings = _findings(args.evidence)
+    resolved = _resolve(net, findings)
+    net = _requisite(net, resolved, _parse_target(net, args.target)[0])
+    evidence = _evidence(net, findings)
     var, state = _parse_target(net, args.target)
     tree = build_junction_tree(net)
     dist = infer_marginal(tree, var, evidence)
@@ -329,12 +344,13 @@ SENS_OUT_HEADER = ["parameter", "variable", "state", "parent_config",
 
 def _run_sens_out(args) -> int:
     net = _load_net(args.net)
-    evidence = _parse_evidence(net, args.evidence)
+    findings = _findings(args.evidence)
+    resolved = _resolve(net, findings)
     var, state = _parse_target(net, args.target)
     if state is None:
         raise _UsageError("sens-out needs a single output state, e.g. --target A=yes")
-    net = _requisite(net, evidence, var)
-    evidence = _parse_evidence(net, args.evidence)
+    net = _requisite(net, resolved, var)
+    evidence = _evidence(net, findings)
     var, state = _parse_target(net, args.target)
     query = QueryRef(var, state)
     params = relevant_parameters(net, query, evidence)
@@ -370,7 +386,7 @@ SENS_PARAM_HEADER = ["variable", "state", "alpha", "beta", "gamma", "delta",
 
 def _run_sens_param(args) -> int:
     net = _load_net(args.net)
-    evidence = _parse_evidence(net, args.evidence)
+    evidence = _evidence(net, _findings(args.evidence))
     refs = [_parse_param(net, text) for text in _split_params(args.param)]
     if len(refs) != 1:
         raise _UsageError("sens-param analyzes exactly one parameter")
@@ -395,12 +411,13 @@ def _subset_key(mask: int) -> str:
 
 def _run_sens_n(args) -> int:
     net = _load_net(args.net)
-    evidence = _parse_evidence(net, args.evidence)
+    findings = _findings(args.evidence)
+    resolved = _resolve(net, findings)
     refs = [_parse_param(net, text) for text in _split_params(args.params)]
     if not refs:
         raise _UsageError("sens-n needs at least one parameter")
-    net = _requisite(net, evidence, *(ref.variable for ref in refs))
-    evidence = _parse_evidence(net, args.evidence)
+    net = _requisite(net, resolved, *(ref.variable for ref in refs))
+    evidence = _evidence(net, findings)
     refs = [_parse_param(net, text) for text in _split_params(args.params)]
 
     tree = build_junction_tree(net)
@@ -444,7 +461,7 @@ def _run_check(args) -> int:
         query = QueryRef(var, int(rng.integers(net.arity(var))))
         # the engine runs on the requisite network, as infer and sens-out do;
         # the oracle enumerates the whole one
-        sub = _requisite(net, evidence, var)
+        sub = net.ancestral({var, *evidence.variables()})
         sub_evidence = Evidence(sub)
         for v, vec in evidence.items():
             sub_evidence.set_likelihood(net.variables[v].name, vec)
@@ -465,7 +482,7 @@ def _run_check(args) -> int:
 
 def _run_stats(args) -> int:
     net = _load_net(args.net)
-    evidence = _parse_evidence(net, args.evidence)
+    evidence = _evidence(net, _findings(args.evidence))
     tree = build_junction_tree(net)
     propagate_full(tree, evidence)
     print(_stats_line(tree.stats.snapshot()))

@@ -26,6 +26,7 @@ import heapq
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,9 +139,8 @@ class Network:
         return self.cpts[var][self.row_index(var, parent_config)]
 
     def parameter(self, var: int, state: int, parent_config: tuple[int, ...]) -> ParameterRef:
-        if not 0 <= state < self.arities[var]:
-            raise NetworkFormatError(
-                f"variable {self.variables[var].name!r} has no state {state!r}")
+        var = check_variable(self, var)
+        state = _check_state(self, var, state)
         value = float(self.cpts[var][self.row_index(var, parent_config), state])
         return ParameterRef(var, state, tuple(parent_config), value)
 
@@ -437,12 +437,41 @@ def format_parameter(net: Network, ref: ParameterRef) -> str:
 # evidence
 
 
-def check_finding(net: Network, var: int, vector) -> np.ndarray:
-    """The vector as a float array, if it is a valid finding for the variable.
+def _index(value, count: int) -> int | None:
+    """`value` as an int if it is an integral number, not a bool, in [0, count)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and 0 <= value < count:
+        return int(value)
+    return None
+
+
+def check_variable(net: Network, var) -> int:
+    """The id of the variable given by name or by integral id."""
+    if isinstance(var, str):
+        return net.variable_id(var)
+    found = _index(var, net.n_variables)
+    if found is None:
+        raise NetworkFormatError(f"no variable with id {var!r}")
+    return found
+
+
+def _check_state(net: Network, var: int, state) -> int:
+    """The index of the variable's state given by label or by integral index."""
+    if isinstance(state, str):
+        return net.state_index(var, state)
+    found = _index(state, net.arity(var))
+    if found is None:
+        raise NetworkFormatError(f"variable {net.variables[var].name!r} has no state {state!r}")
+    return found
+
+
+def check_finding(net: Network, var, vector) -> tuple[int, np.ndarray]:
+    """The variable's id and the vector as a float array, if it is a valid
+    finding for the variable (`check_variable`).
 
     A finding needs one finite, nonnegative entry per state and at least one
     positive entry; an all-zero vector is impossible evidence.
     """
+    var = check_variable(net, var)
     vec = np.asarray(vector, dtype=float)
     name = net.variables[var].name
     if vec.shape != (net.arity(var),):
@@ -452,7 +481,7 @@ def check_finding(net: Network, var: int, vector) -> np.ndarray:
         raise NetworkFormatError(f"finding for {name!r} must be finite and nonnegative")
     if not np.any(vec > 0):
         raise ImpossibleEvidenceError(f"finding for {name!r} is all-zero")
-    return vec
+    return var, vec
 
 
 class Evidence:
@@ -474,25 +503,23 @@ class Evidence:
         return out
 
     def _resolve(self, var) -> int:
-        return var if isinstance(var, int) else self.net.variable_id(var)
+        return check_variable(self.net, var)
 
     def set_hard(self, var, state) -> "Evidence":
         v = self._resolve(var)
-        s = state if isinstance(state, int) else self.net.state_index(v, state)
         vec = np.zeros(self.net.arity(v))
-        vec[s] = 1.0
+        vec[_check_state(self.net, v, state)] = 1.0
         return self.set_likelihood(v, vec)
 
     def set_negative(self, var, state) -> "Evidence":
         v = self._resolve(var)
-        s = state if isinstance(state, int) else self.net.state_index(v, state)
         vec = np.ones(self.net.arity(v))
-        vec[s] = 0.0
+        vec[_check_state(self.net, v, state)] = 0.0
         return self.set_likelihood(v, vec)
 
     def set_likelihood(self, var, vector) -> "Evidence":
-        v = self._resolve(var)
-        self._findings[v] = check_finding(self.net, v, vector)
+        v, vec = check_finding(self.net, var, vector)
+        self._findings[v] = vec
         return self
 
     def remove(self, var) -> "Evidence":

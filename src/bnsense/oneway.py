@@ -19,8 +19,11 @@ Both routes direct their outward passes at the cliques the family reads use
 (`read_cliques`), so a parameter that relevance screening drops costs no
 message.
 
-Every posterior's line pair in one parameter is fitted through two full
-propagations, at the current value and at a second one.
+Every posterior's line pair in one parameter is fitted through two
+propagations, at the current value and at a second one.  The second is an
+outward replay from the parameter's family clique, directed at the cliques
+read for the parameter's variable and its descendants unless a finding lies
+on or below that variable; every other posterior, and p(e), cannot move.
 
 Both routes exist as public operations and must agree to high precision; the
 tests hold them to the enumeration oracle as well.
@@ -300,6 +303,25 @@ def _second_value(x1):
 # all outputs, one parameter
 
 
+def _moved_variables(net: Network, var: int, evidence: Evidence | None) -> set[int] | None:
+    """The variables whose p(V, e) can depend on `var`'s CPT: `var` and its
+    descendants, found by one walk down from `var`.  None when a finding lies
+    on or below `var`, for then p(e) and every marginal can move.
+
+    Without such a finding, `var` and its descendants are barren for any other
+    variable V and the findings, so `var`'s CPT sums out of p(V, e) (Baker &
+    Boult, UAI 1990).
+    """
+    findings = set(evidence.variables()) if evidence is not None else set()
+    moved, stack = {var}, [var]
+    while stack:
+        for child in net.children(stack.pop()):
+            if child not in moved:
+                moved.add(child)
+                stack.append(child)
+    return None if moved & findings else moved
+
+
 def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
                           evidence: Evidence | None = None) -> OneParamAnalysis:
     """Every posterior's line pair in one parameter: 1 inward + 2 outward.
@@ -308,6 +330,11 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     co-vary the parameter's row to a second value, replay one outward pass
     from the family clique, record again; fit every line through its two
     points.  The tree gets its operating-point network back on return.
+
+    With no finding on or below the parameter's variable, only that variable
+    and its descendants can move (`_moved_variables`): the replay is directed
+    at the cliques their reads use, and every other variable's line and the
+    denominator are the flat line of their first reading.
     """
     x1 = tree.net.parameter_value(ref)
     if x1 >= 1.0:
@@ -321,19 +348,25 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     pe1 = evidence_probability(tree)
 
     net = tree.net
+    moved = _moved_variables(net, ref.variable, evidence)
     try:
         tree.set_parameter(ref, x2)
-        distribute(tree, home)
-        second = {var: marginal(tree, var) for var in targets}
-        pe2 = evidence_probability(tree)
+        if moved is None:
+            distribute(tree, home)
+            second = {var: marginal(tree, var) for var in targets}
+            den = _line_through(x1, pe1, x2, evidence_probability(tree))
+        else:
+            distribute(tree, home, {cid for var in moved for cid in tree.holder_cliques((var,))})
+            second = {var: tree.joint((var,)).table for var in moved}
+            den = LinearCoeffs(0.0, pe1)
     finally:
         tree.restore_network(net)
 
-    den = _line_through(x1, pe1, x2, pe2)
     functions = {
         var: tuple(
             SensitivityFunction(
-                ref, _line_through(x1, float(first[var][s]), x2, float(second[var][s])), den)
+                ref, _line_through(x1, float(first[var][s]), x2, float(second[var][s]))
+                if var in second else LinearCoeffs(0.0, float(first[var][s])), den)
             for s in range(tree.net.arity(var)))
         for var in targets
     }

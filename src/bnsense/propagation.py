@@ -48,7 +48,8 @@ def enter_finding(tree: JunctionTree, var: int, vector) -> None:
     The vector is attached at the variable's family clique and folded into
     message computation lazily; the tree needs a propagation afterwards.
     """
-    tree.findings[var] = check_finding(tree.net, var, vector)
+    var, vec = check_finding(tree.net, var, vector)
+    tree.findings[var] = vec
     tree.invalidate()
 
 

@@ -29,6 +29,18 @@ C,yes,1.200000000e-01,2.440000000e-01,1.200000000e-01,2.440000000e-01,1.00000000
 C,no,0.000000000e+00,0.000000000e+00,1.200000000e-01,2.440000000e-01,0.000000000e+00,0.000000000e+00
 """
 
+# p(V, e) under the finding B=yes as a function of p(C=yes | B=yes): C is a
+# leaf without a finding, so every other line and the denominator are flat.
+SENS_PARAM_LEAF_GOLDEN = """\
+variable,state,alpha,beta,gamma,delta,y_at_x0,dy_dx_at_x0
+A,yes,0.000000000e+00,1.800000000e-01,0.000000000e+00,4.200000000e-01,4.285714286e-01,0.000000000e+00
+A,no,0.000000000e+00,2.400000000e-01,0.000000000e+00,4.200000000e-01,5.714285714e-01,0.000000000e+00
+B,yes,0.000000000e+00,4.200000000e-01,0.000000000e+00,4.200000000e-01,1.000000000e+00,0.000000000e+00
+B,no,0.000000000e+00,0.000000000e+00,0.000000000e+00,4.200000000e-01,0.000000000e+00,0.000000000e+00
+C,yes,4.200000000e-01,0.000000000e+00,0.000000000e+00,4.200000000e-01,7.000000000e-01,1.000000000e+00
+C,no,-4.200000000e-01,4.200000000e-01,0.000000000e+00,4.200000000e-01,3.000000000e-01,-1.000000000e+00
+"""
+
 SENS_N_SAME_CLIQUE_GOLDEN = """\
 {
   "params": [
@@ -138,6 +150,14 @@ class TestSensParam:
     def test_stats_line(self, capsys):
         _, _, err = run(capsys, *self.ARGS, "--stats")
         assert err == "inward=1 outward=2 messages=3\n"
+
+    def test_leaf_parameter_golden_and_stats(self, capsys):
+        """The replay sends no message: C's family clique holds all of C."""
+        rc, out, err = run(capsys, "sens-param", "--net", R2, "--evidence", "B=yes",
+                           "--param", "C|B=yes:yes", "--stats")
+        assert rc == 0
+        assert out == SENS_PARAM_LEAF_GOLDEN
+        assert err == "inward=1 outward=2 messages=2\n"
 
 
 class TestSensN:
@@ -251,6 +271,18 @@ class TestExitCodes:
             rc, _, err = run(capsys, *argv)
             assert rc == 1, argv
             assert err.startswith("usage error:"), argv
+
+    @pytest.mark.parametrize("command", [
+        ("infer", "--target", "A"), ("sens-out", "--target", "A=yes"),
+        ("sens-n", "--params", "A:yes"), ("sens-param", "--param", "A:yes")])
+    def test_evidence_errors_on_every_command(self, capsys, command):
+        cases = {"Q=yes": "unknown variable 'Q'",
+                 "B=maybe": "variable 'B' has no state 'maybe'",
+                 "B=yes,B:no": "finding 'B:no' is not VAR=state or VAR!=state"}
+        for evidence, message in cases.items():
+            rc, out, err = run(capsys, command[0], "--net", R1, *command[1:],
+                               "--evidence", evidence)
+            assert (rc, out, err) == (1, "", f"usage error: {message}\n"), evidence
 
     def test_shared_parser_gives_the_same_answers(self, capsys):
         """The parser is built once per process; a call leaves nothing behind for the next."""

@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from bnsense import (DegenerateParameterError, Evidence, ImpossibleEvidenceError,
-                     NetworkFormatError, apply_parameter, covary_row,
-                     enumerate_parameters, format_parameter, load_network,
-                     network_from_dict, network_to_dict)
+                     NetworkFormatError, apply_parameter, build_junction_tree, covary_row,
+                     enter_finding, enumerate_parameters, format_parameter,
+                     infer_marginal, load_network, network_from_dict, network_to_dict)
 from bnsense.oracle import random_network
 
 
@@ -225,6 +225,11 @@ class TestParameterEnumeration:
         with pytest.raises(NetworkFormatError, match="'B': parent config has 2 entries"):
             r2.parameter(1, 0, (0, 0))
 
+    @pytest.mark.parametrize("var", [-1, 3, True])
+    def test_bad_variable_ids_are_rejected(self, r2, var):
+        with pytest.raises(NetworkFormatError, match=f"no variable with id {var}"):
+            r2.parameter(var, 0, (0,))
+
 
 class TestEvidence:
     def test_hard_finding_is_indicator(self, r1):
@@ -256,3 +261,35 @@ class TestEvidence:
         assert [v for v, _ in ev.items()] == [0, 2]
         dup = ev.copy().remove("A")
         assert "A" in ev and "A" not in dup
+
+    def test_numpy_integer_ids_are_accepted(self, r2):
+        ev = Evidence(r2).set_hard(np.int64(0), np.int64(1))
+        assert ev.variables() == (0,)
+        assert_allclose(ev.vector(0), [0.0, 1.0])
+
+    @pytest.mark.parametrize("var, message", [(-1, "no variable with id -1"),
+                                              (7, "no variable with id 7"),
+                                              (True, "no variable with id True"),
+                                              (1.0, "no variable with id 1.0")])
+    def test_bad_variable_ids_are_rejected(self, r2, var, message):
+        for setter in (Evidence(r2).set_hard, Evidence(r2).set_negative):
+            with pytest.raises(NetworkFormatError, match=message):
+                setter(var, 0)
+        with pytest.raises(NetworkFormatError, match=message):
+            Evidence(r2).set_likelihood(var, [1.0, 0.0])
+
+    @pytest.mark.parametrize("state", [5, -1, True])
+    def test_bad_state_indices_are_rejected(self, r2, state):
+        for setter in (Evidence(r2).set_hard, Evidence(r2).set_negative):
+            with pytest.raises(NetworkFormatError, match=f"'A' has no state {state}"):
+                setter(0, state)
+
+    def test_negative_id_is_not_a_silent_prior(self, r2):
+        """An id of -1 once stored a finding that propagation never attached."""
+        with pytest.raises(NetworkFormatError, match="no variable with id -1"):
+            Evidence(r2).set_hard(-1, 0)
+        tree = build_junction_tree(r2)
+        with pytest.raises(NetworkFormatError, match="no variable with id -1"):
+            enter_finding(tree, -1, [1.0, 0.0])
+        joint = infer_marginal(tree, 0, Evidence(r2).set_hard(2, 0))
+        assert_allclose(joint / joint.sum(), [4 / 11, 7 / 11], atol=1e-12)
