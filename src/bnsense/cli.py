@@ -9,17 +9,20 @@ Subcommands
     stats       propagation counters for one full propagation
     dump-jtree  compiled junction tree as JSON
 
-`infer`, `sens-out` and `sens-n` compile only the requisite network: the
-target, the finding variables, the parameters' variables and their ancestors
-(`Network.ancestral`).  Every other variable is barren, its CPT sums out to
-one, and dropping it changes no answer; `--stats` counts the messages of the
+Each command parses its arguments once, on the network it loaded, and ids
+stay that network's from file to report.  `infer`, `sens-out` and `sens-n`
+compile only the requisite variables: the target, the finding variables,
+the parameters' variables and their ancestors (`build_junction_tree(net,
+requisite)`).  Every other variable is barren, its CPT sums out to one, and
+leaving it out changes no answer; `--stats` counts the messages of the
 smaller tree.  `sens-param` reports the posterior of every variable, so it
 compiles the whole network, as `stats` and `dump-jtree` do.  `check` runs its
-engine on the requisite network and its oracle on the whole one.
+engine on the requisite variables and its oracle on the whole network.
 
 Exit codes: 0 success, 1 usage, 2 invalid network file, 3 impossible
 evidence, 4 analysis error (degenerate or dependent parameters,
-rank deficiency), 5 report write failure.
+rank deficiency, `check --net` past the oracle's enumeration limit),
+5 report write failure.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .network import (Evidence, Network, ParameterRef, QueryRef, format_paramete
 from .nway import general_nway, same_clique_nway
 from .oneway import (all_outputs_one_param, one_output_all_params_m1,
                      one_output_all_params_m2, relevant_parameters)
-from .oracle import (brute_evidence_probability, fit_linear_sf, random_evidence,
-                     random_network)
+from .oracle import (MAX_STATE_BITS, brute_evidence_probability, fit_linear_sf,
+                     random_evidence, random_network)
 from .propagation import infer_marginal, propagate_full
 
 __all__ = ["main"]
@@ -154,6 +157,8 @@ def _load_net(path: str) -> Network:
         raise NetworkFormatError(f"cannot read network file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"network file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):   # load_network would open a string as a path
+        raise NetworkFormatError(f"network file {path!r} must be a JSON object")
     return load_network(doc)
 
 
@@ -172,10 +177,14 @@ def _state(net: Network, var: int, label: str) -> int:
             f"variable {net.variables[var].name!r} has no state {label!r}") from None
 
 
-def _findings(text: str) -> list[tuple[str, str, bool]]:
-    """Grammar: comma-separated findings, `V=s` hard, `V!=s` negative, as
-    (name, label, negated) tokens for `_resolve` on any network."""
-    findings = []
+def _evidence(net: Network, text: str) -> Evidence:
+    """Grammar: comma-separated findings, `V=s` hard, `V!=s` negative.
+
+    Repeated findings on one variable multiply elementwise, so contradictory
+    findings collapse to an all-zero vector and surface as impossible
+    evidence.
+    """
+    vectors: dict[int, np.ndarray] = {}
     for token in filter(None, (t.strip() for t in text.split(","))):
         if "!=" in token:
             name, _, label = token.partition("!=")
@@ -183,43 +192,16 @@ def _findings(text: str) -> list[tuple[str, str, bool]]:
             name, _, label = token.partition("=")
         else:
             raise _UsageError(f"finding {token!r} is not VAR=state or VAR!=state")
-        findings.append((name.strip(), label.strip(), "!=" in token))
-    return findings
-
-
-def _resolve(net: Network, findings) -> list[tuple[int, int, bool]]:
-    """The findings as (variable, state, negated) on this network."""
-    resolved = []
-    for name, label, negated in findings:
-        var = _variable(net, name)
-        resolved.append((var, _state(net, var, label), negated))
-    return resolved
-
-
-def _evidence(net: Network, findings) -> Evidence:
-    """The findings on this network.
-
-    Repeated findings on one variable multiply elementwise, so contradictory
-    findings collapse to an all-zero vector and surface as impossible
-    evidence.
-    """
-    vectors: dict[int, np.ndarray] = {}
-    for var, state, negated in _resolve(net, findings):
+        var = _variable(net, name.strip())
         vec = np.zeros(net.arity(var))
-        vec[state] = 1.0
-        if negated:
+        vec[_state(net, var, label.strip())] = 1.0
+        if "!=" in token:
             vec = 1.0 - vec
         vectors[var] = vectors[var] * vec if var in vectors else vec
     ev = Evidence(net)
     for var in sorted(vectors):
         ev.set_likelihood(var, vectors[var])
     return ev
-
-
-def _requisite(net: Network, resolved, *variables: int) -> Network:
-    """The part of the network an analysis of `variables` under the `resolved`
-    findings reads: those variables, the finding variables and their ancestors."""
-    return net.ancestral({*variables, *(var for var, _, _ in resolved)})
 
 
 def _parse_target(net: Network, text: str) -> tuple[int, int | None]:
@@ -321,12 +303,9 @@ def _csv(rows: list[list[str]]) -> str:
 
 def _run_infer(args) -> int:
     net = _load_net(args.net)
-    findings = _findings(args.evidence)
-    resolved = _resolve(net, findings)
-    net = _requisite(net, resolved, _parse_target(net, args.target)[0])
-    evidence = _evidence(net, findings)
+    evidence = _evidence(net, args.evidence)
     var, state = _parse_target(net, args.target)
-    tree = build_junction_tree(net)
+    tree = build_junction_tree(net, {var, *evidence.variables()})
     dist = infer_marginal(tree, var, evidence)
     dist = dist / dist.sum()
     states = range(len(dist)) if state is None else [state]
@@ -344,24 +323,21 @@ SENS_OUT_HEADER = ["parameter", "variable", "state", "parent_config",
 
 def _run_sens_out(args) -> int:
     net = _load_net(args.net)
-    findings = _findings(args.evidence)
-    resolved = _resolve(net, findings)
+    evidence = _evidence(net, args.evidence)
     var, state = _parse_target(net, args.target)
     if state is None:
         raise _UsageError("sens-out needs a single output state, e.g. --target A=yes")
-    net = _requisite(net, resolved, var)
-    evidence = _evidence(net, findings)
-    var, state = _parse_target(net, args.target)
     query = QueryRef(var, state)
     params = relevant_parameters(net, query, evidence)
 
-    tree = build_junction_tree(net)
+    requisite = {var, *evidence.variables()}
+    tree = build_junction_tree(net, requisite)
     if args.method == "2":
         analysis = one_output_all_params_m2(tree, query, evidence, params)
     else:
         analysis = one_output_all_params_m1(tree, query, evidence, params)
         if args.method == "both":
-            other = one_output_all_params_m2(build_junction_tree(net), query,
+            other = one_output_all_params_m2(build_junction_tree(net, requisite), query,
                                              evidence, params)
             for ref, sf in analysis.functions.items():
                 mismatch = np.abs(np.array(sf.coefficients())
@@ -386,7 +362,7 @@ SENS_PARAM_HEADER = ["variable", "state", "alpha", "beta", "gamma", "delta",
 
 def _run_sens_param(args) -> int:
     net = _load_net(args.net)
-    evidence = _evidence(net, _findings(args.evidence))
+    evidence = _evidence(net, args.evidence)
     refs = [_parse_param(net, text) for text in _split_params(args.param)]
     if len(refs) != 1:
         raise _UsageError("sens-param analyzes exactly one parameter")
@@ -411,16 +387,12 @@ def _subset_key(mask: int) -> str:
 
 def _run_sens_n(args) -> int:
     net = _load_net(args.net)
-    findings = _findings(args.evidence)
-    resolved = _resolve(net, findings)
+    evidence = _evidence(net, args.evidence)
     refs = [_parse_param(net, text) for text in _split_params(args.params)]
     if not refs:
         raise _UsageError("sens-n needs at least one parameter")
-    net = _requisite(net, resolved, *(ref.variable for ref in refs))
-    evidence = _evidence(net, findings)
-    refs = [_parse_param(net, text) for text in _split_params(args.params)]
 
-    tree = build_junction_tree(net)
+    tree = build_junction_tree(net, {*(ref.variable for ref in refs), *evidence.variables()})
     needed = sorted({v for ref in refs for v in net.family(ref.variable)})
     if tree.clique_containing(tuple(needed)) is not None:
         mf = same_clique_nway(tree, refs, evidence)
@@ -445,6 +417,10 @@ def _run_check(args) -> int:
     fixed = _load_net(args.net) if args.net else None
     if args.trials < 1:
         raise _UsageError("--trials must be positive")
+    if fixed is not None and fixed.joint_state_bits() > MAX_STATE_BITS:
+        raise BnsenseError(
+            f"check enumerates the joint state space, which the oracle limits to "
+            f"2^{MAX_STATE_BITS:g} states; this network has 2^{fixed.joint_state_bits():.1f}")
 
     worst = 0.0
     for _ in range(args.trials):
@@ -459,20 +435,13 @@ def _run_check(args) -> int:
             evidence = Evidence(net)
         var = int(rng.integers(net.n_variables))
         query = QueryRef(var, int(rng.integers(net.arity(var))))
-        # the engine runs on the requisite network, as infer and sens-out do;
-        # the oracle enumerates the whole one
-        sub = net.ancestral({var, *evidence.variables()})
-        sub_evidence = Evidence(sub)
-        for v, vec in evidence.items():
-            sub_evidence.set_likelihood(net.variables[v].name, vec)
-        sub_query = QueryRef(sub.variable_id(net.variables[var].name), query.state)
-        params = relevant_parameters(sub, sub_query, sub_evidence)
-        analysis = one_output_all_params_m1(build_junction_tree(sub), sub_query,
-                                            sub_evidence, params)
+        # the engine compiles the requisite network, as sens-out does; the
+        # oracle enumerates the whole one
+        params = relevant_parameters(net, query, evidence)
+        analysis = one_output_all_params_m1(
+            build_junction_tree(net, {var, *evidence.variables()}), query, evidence, params)
         for ref, sf in analysis.functions.items():
-            whole = net.parameter(net.variable_id(sub.variables[ref.variable].name),
-                                  ref.state, ref.parent_config)
-            expected = fit_linear_sf(net, whole, query.variable, query.state, evidence)
+            expected = fit_linear_sf(net, ref, query.variable, query.state, evidence)
             gap = np.abs(np.array(sf.coefficients()) - np.array(expected.coefficients()))
             worst = max(worst, float(gap.max()))
 
@@ -482,7 +451,7 @@ def _run_check(args) -> int:
 
 def _run_stats(args) -> int:
     net = _load_net(args.net)
-    evidence = _evidence(net, _findings(args.evidence))
+    evidence = _evidence(net, args.evidence)
     tree = build_junction_tree(net)
     propagate_full(tree, evidence)
     print(_stats_line(tree.stats.snapshot()))

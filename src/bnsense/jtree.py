@@ -102,10 +102,11 @@ class PropagationStats:
 # graph steps
 
 
-def moralize(net: Network) -> dict[int, set[int]]:
-    """Undirected adjacency: each family becomes a complete subgraph."""
-    adj: dict[int, set[int]] = {v: set() for v in range(net.n_variables)}
-    for v in range(net.n_variables):
+def moralize(net: Network, variables) -> dict[int, set[int]]:
+    """Undirected adjacency over `variables`, which hold every parent of
+    their members: each family becomes a complete subgraph."""
+    adj: dict[int, set[int]] = {v: set() for v in variables}
+    for v in variables:
         fam = (v,) + net.parents[v]
         for a in fam:
             for b in fam:
@@ -324,6 +325,8 @@ class JunctionTree:
             candidates = [(sizes[s], False, s) for s in _all_holding(index, member_sets, vars)]
             candidates.extend((self._sizes[c], True, c)
                               for c in _all_holding(self._holding, self._member_sets, vars))
+            if not candidates:
+                raise BnsenseError(f"no clique of this tree holds variables {vars}")
             found = self._holders[vars] = min(candidates)[1:]
         return found
 
@@ -520,19 +523,28 @@ class JunctionTree:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def build_junction_tree(net: Network) -> JunctionTree:
+def build_junction_tree(net: Network, requisite=None) -> JunctionTree:
     """Moralize, triangulate, read the clique tree off the elimination order,
-    and place each family in the lowest-id clique that holds it."""
-    if net.n_variables == 0:
-        raise NetworkFormatError("cannot build a junction tree for an empty network")
-    adj = moralize(net)
+    and place each family in the lowest-id clique that holds it.
+
+    Compiles every variable when `requisite` is None, else the variable ids
+    in `requisite` and their ancestors (`Network.ancestors`): every other
+    variable is barren for a question about them, and leaving it out changes
+    no answer.  Ids stay the network's own, and every tie-break above is
+    monotone in the id, so the tree is the one a network of the compiled
+    variables alone would give.  No clique holds a variable left out.
+    """
+    variables = range(net.n_variables) if requisite is None else sorted(net.ancestors(requisite))
+    if not variables:
+        raise NetworkFormatError("cannot build a junction tree with no variables")
+    adj = moralize(net, variables)
     order, fills = triangulate(adj, net.arities)
     members, sepsets = _clique_tree(adj, order, fills)
     index = _cliques_by_variable(net.n_variables, members)
 
     member_sets = [set(mem) for mem in members]
     families: list[list[int]] = [[] for _ in members]
-    for v in range(net.n_variables):
+    for v in variables:
         cid = next(_all_holding(index, member_sets, net.family(v)), None)
         if cid is None:  # unreachable: every family is completed by moralization
             raise BnsenseError(f"no clique contains the family of variable {v}")

@@ -154,47 +154,21 @@ class Network:
         """log2 of the joint state-space size (enumeration guard)."""
         return float(sum(math.log2(v.arity) for v in self.variables))
 
-    def ancestral(self, seeds) -> "Network":
-        """The sub-network of the variable ids in `seeds` and all their ancestors.
+    def ancestors(self, seeds) -> set[int]:
+        """The variable ids in `seeds` and all their ancestors.
 
         Every other variable is barren for a question about the seeds: it has
-        no seed at or below it, so its CPT sums out of p(seeds) to one and
-        dropping it changes no probability of the seeds (Baker & Boult, UAI
-        1990).  The kept variables keep their names, states, parent order and
-        CPT arrays (shared, not copied, and not validated again); their ids
-        keep their relative order, so CPT order and every report that follows
-        it are unchanged.  Returns `self` when nothing is dropped.
-
-        Nothing is derived again that can be read off this network: kept
-        variables keep their row strides, and the topological order is this
-        network's with the dropped variables left out (no kept variable
-        waits on a dropped one, so the lowest-id-first order restricts to the
-        sub-network's own).  Costs O(kept variables + their edges), plus one
-        scan of the order.
+        no seed at or below it, so its CPT sums out of p(seeds) to one
+        (Baker & Boult, UAI 1990).  Costs O(the result and its edges).
         """
-        kept: set[int] = set()
+        found: set[int] = set()
         stack = list(seeds)
         while stack:
             v = stack.pop()
-            if v not in kept:
-                kept.add(v)
+            if v not in found:
+                found.add(v)
                 stack.extend(self.parents[v])
-        if len(kept) == self.n_variables:
-            return self
-        old_ids = sorted(kept)
-        new_id = [-1] * self.n_variables
-        for i, v in enumerate(old_ids):
-            new_id[v] = i
-        sub = Network.__new__(Network)
-        sub.variables = tuple([self.variables[v] for v in old_ids])
-        sub.arities = tuple([self.arities[v] for v in old_ids])
-        sub.parents = tuple([tuple([new_id[p] for p in self.parents[v]]) for v in old_ids])
-        sub.cpts = tuple([self.cpts[v] for v in old_ids])
-        sub._ids = {x.name: i for i, x in enumerate(sub.variables)}
-        sub._children = _children_of(sub.parents)
-        sub._order = tuple([new_id[v] for v in self._order if v in kept])
-        sub._strides = tuple([self._strides[v] for v in old_ids])
-        return sub
+        return found
 
     def with_cpt(self, var: int, table: np.ndarray) -> "Network":
         """A copy with one CPT replaced; the structure and its order are shared."""
@@ -333,7 +307,9 @@ def network_from_dict(doc: dict) -> Network:
             table = np.array(rows, dtype=float)
         except (TypeError, ValueError):
             table = None
-        if table is None or table.shape != (expected_rows, arity):
+        # JSON true and false would convert to 1 and 0
+        if (table is None or table.shape != (expected_rows, arity)
+                or bool in map(type, itertools.chain.from_iterable(rows))):
             raise NetworkFormatError(f"variable {name!r}: cpt entries must be numbers")
         totals = table.sum(axis=1)
         # nonnegative entries with finite row sums are finite themselves
@@ -407,12 +383,13 @@ def apply_parameter(net: Network, ref: ParameterRef, x: float) -> Network:
     return net.with_cpt(ref.variable, table)
 
 
-def enumerate_parameters(net: Network) -> list[ParameterRef]:
-    """Every CPT entry, ordered by variable id, then row, then state."""
+def enumerate_parameters(net: Network, variables=None) -> list[ParameterRef]:
+    """Every CPT entry of `variables` (default: every variable, by id), in
+    the order the variables are given, then by row, then by state."""
     out: list[ParameterRef] = []
-    for var, table in enumerate(net.cpts):
+    for var in range(net.n_variables) if variables is None else variables:
         configs = itertools.product(*(range(net.arities[p]) for p in net.parents[var]))
-        for config, row in zip(configs, table.tolist()):
+        for config, row in zip(configs, net.cpts[var].tolist()):
             out.extend(ParameterRef(var, s, config, x) for s, x in enumerate(row))
     return out
 

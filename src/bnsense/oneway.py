@@ -85,7 +85,7 @@ def _influenced_variables(net: Network, target: int, evidence_vars: set[int]) ->
     counts as reached from below), or from a parent while B has a finding on
     or below it (a collider at B).
     """
-    has_observed_below = _ancestors_of_evidence(net, evidence_vars)
+    has_observed_below = net.ancestors(evidence_vars)
     relevant: set[int] = set()
     seen: set[tuple[int, bool]] = set()
     stack: list[tuple[int, bool]] = [(target, False)]  # (node, arrived-from-parent?)
@@ -103,23 +103,12 @@ def _influenced_variables(net: Network, target: int, evidence_vars: set[int]) ->
     return relevant
 
 
-def _ancestors_of_evidence(net: Network, evidence_vars: set[int]) -> set[int]:
-    """Variables with a finding on themselves or on some descendant."""
-    out = set(evidence_vars)
-    for v in reversed(net.topological_order()):
-        if v in out:
-            continue
-        if any(c in out for c in net.children(v)):
-            out.add(v)
-    return out
-
-
 def relevant_parameters(net: Network, query: QueryRef,
                         evidence: Evidence | None = None) -> list[ParameterRef]:
     """Parameters that may influence the query — a sound superset, in CPT order."""
     evidence_vars = set(evidence.variables()) if evidence is not None else set()
     keep = _influenced_variables(net, query.variable, evidence_vars)
-    return [p for p in enumerate_parameters(net) if p.variable in keep]
+    return enumerate_parameters(net, sorted(keep))
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,7 @@ def random_independent_parameters(rng: np.random.Generator, net: Network, n: int
     """Draw n pairwise-independent parameters, or None if the draws keep failing."""
     from .nway import check_independent  # local import: nway depends on this module's peers
 
-    pool = [p for p in enumerate_parameters(net)
-            if within_vars is None or p.variable in within_vars]
+    pool = enumerate_parameters(net, within_vars)
     if len(pool) < n:
         return None
     for _ in range(tries):

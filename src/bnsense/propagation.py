@@ -47,8 +47,12 @@ def enter_finding(tree: JunctionTree, var: int, vector) -> None:
 
     The vector is attached at the variable's family clique and folded into
     message computation lazily; the tree needs a propagation afterwards.
+    A variable the tree does not compile raises `BnsenseError`.
     """
     var, vec = check_finding(tree.net, var, vector)
+    if var not in tree.family_clique:
+        raise BnsenseError(
+            f"variable {tree.net.variables[var].name!r} is not compiled in this tree")
     tree.findings[var] = vec
     tree.invalidate()
 

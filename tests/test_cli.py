@@ -1,6 +1,7 @@
 """Command-line contract: golden reports, exit codes, stats lines, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +220,20 @@ class TestCheck:
         assert rc == 0
         assert third != first
 
+    def test_network_past_the_enumeration_limit(self, capsys, tmp_path):
+        """A 30-variable binary chain has 2^30 joint states: check --net
+        stops before any trial with an analysis error naming the limit."""
+        names = [f"V{i}" for i in range(30)]
+        chain = tmp_path / "chain30.json"
+        chain.write_text(json.dumps({
+            "variables": [{"name": n, "states": ["y", "n"]} for n in names],
+            "cpts": [{"variable": n, "parents": names[i - 1:i],
+                      "rows": [[0.5, 0.5]] * (2 if i else 1)} for i, n in enumerate(names)]}))
+        rc, out, err = run(capsys, "check", "--net", str(chain), "--trials", "1")
+        assert (rc, out) == (4, "")
+        assert err.startswith("analysis error:")
+        assert "2^20 states" in err and "2^30.0" in err
+
 
 class TestDumpAndStats:
     def test_stats_output(self, capsys):
@@ -302,9 +317,15 @@ class TestExitCodes:
              "cpts": [{"variable": "A", "parents": [], "rows": [[0.6, 0.5]]}]}))
         bad_json = tmp_path / "broken.json"
         bad_json.write_text("{nope")
+        not_objects = []
+        # a JSON string naming a valid network file is not followed as a path
+        for i, doc in enumerate([str(Path(R2).resolve()), [], None]):
+            not_objects.append(tmp_path / f"not_object{i}.json")
+            not_objects[-1].write_text(json.dumps(doc))
         for path, fragment in [(tmp_path / "missing.json", "cannot read"),
                                (bad_json, "not valid JSON"),
-                               (bad_sum, "sum 1.1 outside tolerance")]:
+                               (bad_sum, "sum 1.1 outside tolerance"),
+                               *((path, "must be a JSON object") for path in not_objects)]:
             rc, _, err = run(capsys, "infer", "--net", str(path), "--target", "A")
             assert rc == 2
             assert err.startswith("invalid network:")

@@ -30,7 +30,7 @@ import pytest
 from bnsense import build_junction_tree
 from bnsense.jtree import Sepset, moralize, triangulate
 from bnsense.network import Network, Variable
-from bnsense.oneway import _ancestors_of_evidence, _influenced_variables
+from bnsense.oneway import _influenced_variables
 from bnsense.oracle import random_network
 
 
@@ -161,8 +161,18 @@ def reference_clique_containing(members, vars):
     return None
 
 
+def reference_ancestors_of_evidence(net, evidence_vars):
+    """Variables with a finding on themselves or on some descendant, by one
+    scan of the reversed topological order."""
+    out = set(evidence_vars)
+    for v in reversed(net.topological_order()):
+        if v not in out and any(c in out for c in net.children(v)):
+            out.add(v)
+    return out
+
+
 def reference_influenced_variables(net, target, evidence_vars):
-    has_observed_below = _ancestors_of_evidence(net, evidence_vars)
+    has_observed_below = reference_ancestors_of_evidence(net, evidence_vars)
     relevant = set()
     for b in range(net.n_variables):
         seen = set()
@@ -247,7 +257,7 @@ def assert_tree_matches_reference(net, reference_order=None):
     `reference_order` stands in for the reference triangulation where that is
     too slow to run; the caller then checks the order separately.
     """
-    adj = moralize(net)
+    adj = moralize(net, range(net.n_variables))
     order, fills = triangulate(adj, net.arities)
     if reference_order is None:
         reference_order = reference_triangulate(adj, net.arities)
@@ -342,7 +352,8 @@ class TestMixedArities:
                 v, size=int(rng.integers(0, min(v, 4) + 1)), replace=False)))
                 if v else () for v in range(n)]
             net = _structure(parents, [int(rng.integers(2, 5))] * n)
-            assert triangulate(moralize(net), net.arities) == reference_min_fill(moralize(net))
+            adj = moralize(net, range(n))
+            assert triangulate(adj, net.arities) == reference_min_fill(adj)
 
     def test_wide_clique_dag(self):
         """The benchmark's wide-clique DAG: weighted fill halves the clique state space."""
@@ -355,7 +366,7 @@ class TestMixedArities:
 
         weighted = entries(c.members for c in tree.cliques)
         assert (max(weighted), sum(weighted)) == (1_259_712, 4_186_061)
-        adj = moralize(net)
+        adj = moralize(net, range(net.n_variables))
         plain = entries(reference_elimination_cliques(adj, *reference_min_fill(adj)))
         assert (max(plain), sum(plain)) == (1_889_568, 9_311_561)
 

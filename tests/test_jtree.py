@@ -49,18 +49,18 @@ def has_running_intersection(tree) -> bool:
 class TestGraphSteps:
     def test_moralization_marries_coparents(self):
         net = _uniform_net(DIAMOND)
-        adj = moralize(net)
+        adj = moralize(net, range(net.n_variables))
         b, c = net.variable_id("B"), net.variable_id("C")
         assert c in adj[b] and b in adj[c]
 
     def test_triangulation_leaves_chordal_graph_alone(self):
         net = _uniform_net(DIAMOND)
-        _, fills = triangulate(moralize(net), net.arities)
+        _, fills = triangulate(moralize(net, range(net.n_variables)), net.arities)
         assert fills == set()
 
     def test_triangulation_breaks_chordless_cycle(self):
         net = _uniform_net(PENTAGON)
-        _, fills = triangulate(moralize(net), net.arities)
+        _, fills = triangulate(moralize(net, range(net.n_variables)), net.arities)
         assert fills == {frozenset((1, 3))}
 
 

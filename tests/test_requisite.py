@@ -1,12 +1,14 @@
-"""The requisite network: `Network.ancestral` and the CLI analyses that compile it.
+"""Requisite trees: `build_junction_tree(net, requisite)` and the CLI analyses
+that compile them.
 
 `infer`, `sens-out` and `sens-n` compile only the target, the finding
-variables, the parameters' variables and their ancestors.  The unit tests pin
-what `ancestral` keeps.  A seeded corpus of random networks with barren
-variables appended (children that nothing observes or asks about) then holds
-every pruned CLI analysis to the enumeration oracle run on the *whole*
-network, and `sens-out` to the whole network's relevant parameters, row for
-row.
+variables, the parameters' variables and their ancestors, on the ids of the
+network they loaded.  The unit tests pin what such a tree compiles and that
+it equals the tree of the compiled variables loaded on their own.  A seeded
+corpus of random networks with barren variables appended (children that
+nothing observes or asks about) then holds every pruned CLI analysis to the
+enumeration oracle run on the *whole* network, and `sens-out` to the whole
+network's relevant parameters, row for row.
 """
 
 import csv
@@ -16,9 +18,9 @@ import json
 import numpy as np
 import pytest
 
-from bnsense import (Evidence, Network, QueryRef, Variable, enumerate_parameters,
-                     format_parameter, network_from_dict, network_to_dict,
-                     relevant_parameters)
+from bnsense import (BnsenseError, Evidence, Network, NetworkFormatError, QueryRef, Variable,
+                     build_junction_tree, enter_finding, format_parameter, network_from_dict,
+                     network_to_dict, propagate_full, relevant_parameters)
 from bnsense import cli
 from bnsense.cli import main
 from bnsense.oracle import (brute_evidence_probability, brute_query, fit_linear_sf,
@@ -43,61 +45,88 @@ def _restricted(doc: dict, names: set[str]) -> dict:
             "cpts": [c for c in doc["cpts"] if c["variable"] in names]}
 
 
-class TestAncestral:
-    def test_returns_self_when_nothing_is_dropped(self, r2):
-        assert r2.ancestral({2}) is r2
-        assert r2.ancestral([0, 1, 2]) is r2
+def _closed(net: Network, seeds) -> set[int]:
+    """The seeds and their ancestors, by adding parents until nothing changes."""
+    kept = set(seeds)
+    while True:
+        grown = kept.union(*(net.parents[v] for v in kept))
+        if grown == kept:
+            return kept
+        kept = grown
+
+
+def _structure(tree, names) -> tuple:
+    """The tree's cliques, families and sepsets with each id read as names[id]."""
+    return ([(tuple(names[v] for v in c.members), tuple(names[v] for v in c.families))
+             for c in tree.cliques],
+            [(s.cliques, tuple(names[v] for v in s.members)) for s in tree.sepsets])
+
+
+class TestRequisiteTree:
+    def test_none_compiles_every_variable(self, r2):
+        whole = build_junction_tree(r2)
+        assert set(whole.var_clique) == {0, 1, 2}
+        assert build_junction_tree(r2, None).to_dict() == whole.to_dict()
+        assert build_junction_tree(r2, {2}).to_dict() == whole.to_dict()
+        with pytest.raises(NetworkFormatError, match="no variables"):
+            build_junction_tree(r2, set())
 
     def test_drops_a_barren_chain_tail(self, r2):
-        sub = r2.ancestral({1})
-        assert [v.name for v in sub.variables] == ["A", "B"]
-        assert sub.parents == ((), (0,))
-        for v in range(2):
-            assert sub.variables[v] is r2.variables[v]
-            assert sub.cpts[v] is r2.cpts[v]
+        tree = build_junction_tree(r2, {1})
+        assert tree.net is r2
+        assert set(tree.var_clique) == {0, 1}
+        assert [(c.members, c.families) for c in tree.cliques] == [((0, 1), (0, 1))]
+        assert tree.sepsets == []
 
-    def test_ids_keep_their_relative_order(self):
+    def test_ids_keep_the_loaded_networks_own(self):
         net = network_from_dict(UNORDERED)
-        sub = net.ancestral({net.variable_id("C")})
-        assert [v.name for v in sub.variables] == ["C", "A", "B"]
-        assert sub.parents == ((2,), (), (1,))
-        assert [sub.variables[v].name for v in sub.topological_order()] == ["A", "B", "C"]
-        assert network_to_dict(sub) == network_to_dict(
-            network_from_dict(_restricted(UNORDERED, {"A", "B", "C"})))
-        for name in "CAB":
-            assert sub.cpts[sub.variable_id(name)] is net.cpts[net.variable_id(name)]
+        tree = build_junction_tree(net, {net.variable_id("C")})
+        assert set(tree.var_clique) == {0, 2, 3}          # C, A, B; not X
+        assert [c.members for c in tree.cliques] == [(0, 3), (2, 3)]
+        fresh = build_junction_tree(network_from_dict(_restricted(UNORDERED, {"A", "B", "C"})))
+        assert tree.to_dict() == fresh.to_dict()
 
-    def test_keeps_exactly_the_seeds_and_their_ancestors(self, corpus):
+    def test_compiles_exactly_the_seeds_and_their_ancestors(self, corpus):
         for case in corpus:
-            whole, sub = case["whole"], case["sub"]
-            kept = {v.name for v in sub.variables}
-            names = set(kept)
-            for v in range(whole.n_variables):   # ancestors of a kept variable are kept
-                if whole.variables[v].name in kept:
-                    names.update(whole.variables[p].name for p in whole.parents[v])
-            assert names == kept
-            assert sub.n_variables < whole.n_variables
-            assert network_to_dict(sub) == _restricted(network_to_dict(whole), kept)
+            whole = case["whole"]
+            seeds = {case["var"], *case["evidence"].variables()}
+            tree = build_junction_tree(whole, seeds)
+            assert set(tree.var_clique) == _closed(whole, seeds) == set(tree.family_clique)
+            assert len(tree.var_clique) < whole.n_variables
 
     def test_structure_matches_a_fresh_load_under_any_id_order(self, corpus):
-        """Children, topological order and row addressing equal those of the
-        kept variables loaded on their own, also when ids are not topological."""
+        """Cliques, families and sepsets equal those of the compiled variables
+        loaded on their own, under the id map, also when ids are not topological."""
         rng = np.random.default_rng(CORPUS_SEED + 1)
         for case in corpus:
             doc = network_to_dict(case["whole"])
             doc["variables"] = [doc["variables"][int(i)]
                                 for i in rng.permutation(len(doc["variables"]))]
             net = network_from_dict(doc)
-            seeds = rng.choice(net.n_variables, size=2, replace=False)
-            sub = net.ancestral({int(v) for v in seeds})
-            fresh = network_from_dict(_restricted(doc, {v.name for v in sub.variables}))
-            assert network_to_dict(sub) == network_to_dict(fresh)
-            assert sub.topological_order() == fresh.topological_order()
-            assert [sub.children(v) for v in range(sub.n_variables)] == [
-                fresh.children(v) for v in range(fresh.n_variables)]
-            assert enumerate_parameters(sub) == enumerate_parameters(fresh)
-            for ref in enumerate_parameters(sub):
-                assert sub.parameter_value(ref) == fresh.parameter_value(ref)
+            seeds = {int(v) for v in rng.choice(net.n_variables, size=2, replace=False)}
+            tree = build_junction_tree(net, seeds)
+            fresh = network_from_dict(_restricted(
+                doc, {net.variables[v].name for v in _closed(net, seeds)}))
+            fresh_tree = build_junction_tree(fresh)
+            assert _structure(tree, [v.name for v in net.variables]) == _structure(
+                fresh_tree, [v.name for v in fresh.variables])
+
+    def test_a_finding_outside_the_tree_raises(self, r2):
+        tree = build_junction_tree(r2, {1})
+        with pytest.raises(BnsenseError, match="'C' is not compiled"):
+            enter_finding(tree, 2, [1.0, 0.0])
+        with pytest.raises(BnsenseError, match="'C' is not compiled"):
+            propagate_full(tree, Evidence(r2).set_hard("C", "yes"))
+        assert tree.findings == {}
+        enter_finding(tree, 1, [1.0, 0.0])
+        assert set(tree.findings) == {1}
+
+    def test_holder_outside_the_tree_raises(self, r2):
+        tree = build_junction_tree(r2, {1})
+        assert tree.holder((0, 1)) == (True, 0)
+        for vars in [(2,), (1, 2)]:
+            with pytest.raises(BnsenseError, match="no clique of this tree holds"):
+                tree.holder(vars)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +183,10 @@ def corpus(tmp_path_factory):
                                                within_vars=tuple(range(core.n_variables)))
         path = root / f"net{len(cases)}.json"
         path.write_text(json.dumps(network_to_dict(whole)))
+        kept = {whole.variables[v].name for v in _closed(whole, {var, *ev.variables()})}
         cases.append({"path": str(path), "whole": whole, "evidence": ev, "text": text,
                       "var": var, "state": state, "params": params,
-                      "sub": whole.ancestral({var, *ev.variables()})})
+                      "sub": network_from_dict(_restricted(network_to_dict(whole), kept))})
     return cases
 
 
@@ -242,15 +272,19 @@ class TestPrunedCli:
 
 def test_check_compiles_the_requisite_network(capsys, monkeypatch, corpus):
     """`check` compiles what `sens-out` compiles and still meets its oracle."""
-    compiled = []
+    trees = []
     build = cli.build_junction_tree
-    monkeypatch.setattr(cli, "build_junction_tree",
-                        lambda net: compiled.append(net.n_variables) or build(net))
+
+    def recording(net, requisite=None):
+        trees.append(build(net, requisite))
+        return trees[-1]
+
+    monkeypatch.setattr(cli, "build_junction_tree", recording)
     monkeypatch.setenv("BN_SENSE_SEED", "3")
     whole = corpus[0]["whole"]
     out = _run(capsys, "check", "--net", corpus[0]["path"], "--trials", "8")
     assert float(out.split()[-1]) <= TOLERANCE
-    assert len(compiled) == 8 and min(compiled) < whole.n_variables
+    assert len(trees) == 8 and min(len(t.var_clique) for t in trees) < whole.n_variables
 
 
 def test_barren_descendants_send_no_message(capsys):
