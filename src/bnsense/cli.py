@@ -244,6 +244,8 @@ def _parse_param(net: Network, text: str) -> ParameterRef:
             if not eq:
                 raise _UsageError(f"configuration entry {entry!r} is not PARENT=state")
             parent = _variable(net, pname.strip())
+            if parent in assigned:
+                raise _UsageError(f"configuration assigns parent {pname.strip()!r} twice")
             assigned[parent] = _state(net, parent, plabel.strip())
     parents = net.parents[var]
     if set(assigned) != set(parents):
@@ -330,29 +332,28 @@ def _run_sens_out(args) -> int:
     query = QueryRef(var, state)
     params = relevant_parameters(net, query, evidence)
 
-    requisite = {var, *evidence.variables()}
-    tree = build_junction_tree(net, requisite)
+    tree = build_junction_tree(net, {var, *evidence.variables()})
     if args.method == "2":
         analysis = one_output_all_params_m2(tree, query, evidence, params)
     else:
         analysis = one_output_all_params_m1(tree, query, evidence, params)
-        if args.method == "both":
-            other = one_output_all_params_m2(build_junction_tree(net, requisite), query,
-                                             evidence, params)
-            for ref, sf in analysis.functions.items():
-                mismatch = np.abs(np.array(sf.coefficients())
-                                  - np.array(other.functions[ref].coefficients()))
-                if float(mismatch.max()) > CROSS_CHECK_TOLERANCE:
-                    raise BnsenseError(
-                        f"methods disagree on {format_parameter(net, ref)}: "
-                        f"max coefficient gap {float(mismatch.max()):.3e}")
+    counts = tree.stats.snapshot()
+    if args.method == "both":   # m2 resets the tree; --stats reports m1's passes
+        other = one_output_all_params_m2(tree, query, evidence, params)
+        for ref, sf in analysis.functions.items():
+            mismatch = np.abs(np.array(sf.coefficients())
+                              - np.array(other.functions[ref].coefficients()))
+            if float(mismatch.max()) > CROSS_CHECK_TOLERANCE:
+                raise BnsenseError(
+                    f"methods disagree on {format_parameter(net, ref)}: "
+                    f"max coefficient gap {float(mismatch.max()):.3e}")
     for ref, reason in analysis.skipped:
         print(f"skipped {format_parameter(net, ref)}: {reason}", file=sys.stderr)
 
     rows = [SENS_OUT_HEADER]
     rows += [_function_row(net, ref, sf) for ref, sf in analysis.functions.items()]
     _emit(_csv(rows), args.out)
-    _print_stats(args, tree.stats.snapshot())
+    _print_stats(args, counts)
     return EXIT_OK
 
 
@@ -412,8 +413,10 @@ def _run_sens_n(args) -> int:
 
 
 def _run_check(args) -> int:
-    seed = int(os.environ.get("BN_SENSE_SEED", "0"))
-    rng = np.random.default_rng(seed)
+    seed = os.environ.get("BN_SENSE_SEED", "0")
+    if not re.fullmatch("[0-9]+", seed):
+        raise _UsageError("BN_SENSE_SEED must be a nonnegative integer")
+    rng = np.random.default_rng(int(seed))
     fixed = _load_net(args.net) if args.net else None
     if args.trials < 1:
         raise _UsageError("--trials must be positive")

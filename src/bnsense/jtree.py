@@ -58,10 +58,11 @@ from .potentials import Potential
 
 
 # Cliques with more table entries than this are contracted along a greedy
-# pairwise path, planned once per (clique, factor axes, kept axes) and cached
-# on the tree.  Smaller ones go through a single unplanned einsum call: that
-# costs about 7 us, against about 70 us for running a planned path and about
-# 130 us for planning one, which would dominate small networks.
+# pairwise path, which einsum plans on every call: no workload repeats a
+# (clique, factor axes, kept axes) key within one tree, so a per-tree cache
+# of plans would not be hit.  Smaller cliques go through a single unplanned
+# einsum call: that costs about 7 us, against about 200 us for planning and
+# running a path, which would dominate small networks.
 PLAN_ABOVE_ENTRIES = 4096
 
 # A single einsum call takes fewer than NPY_MAXARGS operands (32 on numpy 1.x,
@@ -263,11 +264,13 @@ def _merge_same_scope(factors):
 
 
 class JunctionTree:
-    def __init__(self, net: Network, cliques: list[Clique], sepsets: list[Sepset]):
+    def __init__(self, net: Network, members: list[tuple[int, ...]], sepsets: list[Sepset]):
+        """The tree over cliques with these sorted `members` (clique id = list
+        index) and `sepsets`.  Each compiled variable's CPT is assigned to the
+        lowest-id clique that holds its family (`clique_containing`)."""
         self.net = net
-        self.cliques = cliques
         self.sepsets = sepsets
-        self.neighbors: dict[int, list[tuple[int, int]]] = {c.id: [] for c in cliques}
+        self.neighbors: dict[int, list[tuple[int, int]]] = {cid: [] for cid in range(len(members))}
         for s_idx, sep in enumerate(sepsets):
             a, b = sep.cliques
             self.neighbors[a].append((b, s_idx))
@@ -275,21 +278,22 @@ class JunctionTree:
         for lst in self.neighbors.values():
             lst.sort()
 
-        self.family_clique: dict[int, int] = {}
-        for c in cliques:
-            for v in c.families:
-                self.family_clique[v] = c.id
-        self._holding = _cliques_by_variable(net.n_variables, [c.members for c in cliques])
-        self._member_sets = [frozenset(c.members) for c in cliques]
+        self._holding = _cliques_by_variable(net.n_variables, members)
+        self._member_sets = [frozenset(mem) for mem in members]
         self.var_clique: dict[int, int] = {v: ids[0] for v, ids in enumerate(self._holding)
                                            if ids}
+        self.family_clique = {v: self.clique_containing(net.family(v)) for v in self.var_clique}
+        families: list[list[int]] = [[] for _ in members]
+        for v, cid in self.family_clique.items():
+            families[cid].append(v)
+        self.cliques = [Clique(cid, mem, tuple(fams)) for cid, (mem, fams) in
+                        enumerate(zip(members, families))]
 
-        self._sizes = [math.prod(net.arity(v) for v in c.members) for c in cliques]
-        self._every = frozenset(c.id for c in cliques)
+        self._sizes = [math.prod(net.arity(v) for v in mem) for mem in members]
+        self._every = frozenset(range(len(members)))
         self._sepset_index: tuple | None = None   # built by the first `joint`
         self._holders: dict[tuple[int, ...], tuple[bool, int]] = {}
         self._cpt_factors: dict[int, Potential] = {}
-        self._paths: dict[tuple, list] = {}
         self.findings: dict[int, np.ndarray] = {}
         self.injected: dict[int, dict[int, np.ndarray]] = {}
         self.messages: dict[tuple[int, int], Potential] = {}
@@ -418,11 +422,7 @@ class JunctionTree:
         args.append([axis[v] for v in keep])
         if self._sizes[cid] <= PLAN_ABOVE_ENTRIES and len(factors) <= UNPLANNED_MAX_FACTORS:
             return Potential(keep, np.einsum(*args))
-        key = (cid, tuple(vars for vars, _ in factors), keep)
-        path = self._paths.get(key)
-        if path is None:
-            path = self._paths[key] = np.einsum_path(*args, optimize="greedy")[0]
-        return Potential(keep, np.einsum(*args, optimize=path))
+        return Potential(keep, np.einsum(*args, optimize="greedy"))
 
     def clique_potential(self, cid: int) -> Potential:
         """The clique's current table; equals p(members, e) after a full propagation."""
@@ -539,17 +539,4 @@ def build_junction_tree(net: Network, requisite=None) -> JunctionTree:
         raise NetworkFormatError("cannot build a junction tree with no variables")
     adj = moralize(net, variables)
     order, fills = triangulate(adj, net.arities)
-    members, sepsets = _clique_tree(adj, order, fills)
-    index = _cliques_by_variable(net.n_variables, members)
-
-    member_sets = [set(mem) for mem in members]
-    families: list[list[int]] = [[] for _ in members]
-    for v in variables:
-        cid = next(_all_holding(index, member_sets, net.family(v)), None)
-        if cid is None:  # unreachable: every family is completed by moralization
-            raise BnsenseError(f"no clique contains the family of variable {v}")
-        families[cid].append(v)
-
-    cliques = [Clique(cid, mem, tuple(fams)) for cid, (mem, fams) in
-               enumerate(zip(members, families))]
-    return JunctionTree(net, cliques, sepsets)
+    return JunctionTree(net, *_clique_tree(adj, order, fills))

@@ -320,10 +320,12 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     from the family clique, record again; fit every line through its two
     points.  The tree gets its operating-point network back on return.
 
-    With no finding on or below the parameter's variable, only that variable
-    and its descendants can move (`_moved_variables`): the replay is directed
-    at the cliques their reads use, and every other variable's line and the
-    denominator are the flat line of their first reading.
+    The replay is directed at the cliques the reads of the variables that
+    can move use.  With no finding on or below the parameter's variable,
+    those are that variable and its descendants (`_moved_variables`), and
+    every other variable's line and the denominator are the flat line of
+    their first reading.  Otherwise every variable moves; the cliques holding
+    them include every leaf, so the replay is a full outward pass.
     """
     x1 = tree.net.parameter_value(ref)
     if x1 >= 1.0:
@@ -337,17 +339,14 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     pe1 = evidence_probability(tree)
 
     net = tree.net
-    moved = _moved_variables(net, ref.variable, evidence)
+    below = _moved_variables(net, ref.variable, evidence)
+    moved = targets if below is None else below
     try:
         tree.set_parameter(ref, x2)
-        if moved is None:
-            distribute(tree, home)
-            second = {var: marginal(tree, var) for var in targets}
-            den = _line_through(x1, pe1, x2, evidence_probability(tree))
-        else:
-            distribute(tree, home, {cid for var in moved for cid in tree.holder_cliques((var,))})
-            second = {var: tree.joint((var,)).table for var in moved}
-            den = LinearCoeffs(0.0, pe1)
+        distribute(tree, home, {cid for var in moved for cid in tree.holder_cliques((var,))})
+        second = {var: tree.joint((var,)).table for var in moved}
+        den = (_line_through(x1, pe1, x2, evidence_probability(tree)) if below is None
+               else LinearCoeffs(0.0, pe1))
     finally:
         tree.restore_network(net)
 

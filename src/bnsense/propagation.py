@@ -25,8 +25,10 @@ are sent again (`replay`).
 Given the cliques an analysis reads (`reads`), an outward pass sends only
 the messages on the paths from its root to them, skipping messages nobody
 consumes (Madsen & Jensen, AIJ 1999); it still counts as one outward
-propagation.  One variable's posterior needs no outward pass: the root of an
-inward pass holds p(members, e) (`infer_marginal`).
+propagation.  An inward pass takes `reads` the same way and sends only the
+messages on the paths from them to its root.  One variable's posterior needs
+no outward pass: the root of an inward pass holds p(members, e)
+(`infer_marginal`).
 """
 
 from __future__ import annotations
@@ -110,15 +112,18 @@ def _require_full(tree: JunctionTree, what: str) -> None:
     tree.require_current(())
 
 
-def collect(tree: JunctionTree, root: int = 0) -> None:
+def collect(tree: JunctionTree, root: int = 0, reads: set[int] | None = None) -> None:
     """Pass messages leaf-to-root over the tree; one inward propagation.
 
-    Leaves only the root current.
+    Given `reads`, only the messages on the paths from those cliques to the
+    root are sent.  Leaves only the root current.
     """
     order, parent = _bfs(tree, root)
+    region = None if reads is None else _region(parent, root, reads)
     for cid in reversed(order[1:]):
-        p, s_idx = parent[cid]
-        _send(tree, cid, p, s_idx)
+        if region is None or cid in region:
+            p, s_idx = parent[cid]
+            _send(tree, cid, p, s_idx)
     tree.stats.inward_propagations += 1
     tree.evidence_mass = None
     tree.left_current(root, frozenset((root,)))
@@ -216,21 +221,15 @@ def replay(tree: JunctionTree, changed: set[int], reads: set[int] | None = None)
     Only the messages directed away from a changed clique depend on it.
     Rooted at the lowest changed clique, those are the inward messages along
     the subtree joining the changed cliques, and every outward message: one
-    collect over that subtree (none for a single clique, as in
+    collect directed at the changed cliques (none for a single clique, as in
     `retract_finding`), then one distribute, directed by `reads` if given.
     Messages directed toward the subtree from outside it never saw the
     change and are kept.
     """
     root = min(changed)
     _require_root(tree, root)
-    order, parent = _bfs(tree, root)
-    joining = _region(parent, root, changed)
-    if len(joining) > 1:
-        for cid in reversed(order[1:]):
-            if cid in joining:
-                p, s_idx = parent[cid]
-                _send(tree, cid, p, s_idx)
-        tree.stats.inward_propagations += 1
+    if len(changed) > 1:
+        collect(tree, root, changed)
     distribute(tree, root, reads)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bnsense import cli
 from bnsense.cli import SENS_OUT_HEADER, _csv, _parser, main
 
 R1 = "tests/fixtures/r1.json"
@@ -128,6 +129,23 @@ class TestSensOut:
         assert rc == 0
         assert both == one == SENS_OUT_GOLDEN
 
+    def test_both_methods_share_one_tree(self, capsys, monkeypatch):
+        """m2 runs on m1's tree; --stats reports m1's passes alone."""
+        built = []
+        build = cli.build_junction_tree
+
+        def recording(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_junction_tree", recording)
+        rc, _, err = run(capsys, "sens-out", "--net", R2, "--evidence", "C=yes",
+                         "--target", "A=yes", "--method", "both", "--stats")
+        assert rc == 0
+        assert err == "inward=1 outward=2 messages=3\n"
+        assert len(built) == 1
+        assert built[0].stats.snapshot() == (2, 4, 6)   # both analyses ran on it
+
     def test_second_method_report(self, capsys):
         rc, out, _ = run(capsys, *self.ARGS, "--method", "2")
         assert rc == 0
@@ -220,6 +238,13 @@ class TestCheck:
         assert rc == 0
         assert third != first
 
+    @pytest.mark.parametrize("seed", ["abc", "-1"])
+    def test_seed_that_is_not_a_nonnegative_integer(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("BN_SENSE_SEED", seed)
+        rc, out, err = run(capsys, "check", "--trials", "1")
+        assert (rc, out) == (1, "")
+        assert err == "usage error: BN_SENSE_SEED must be a nonnegative integer\n"
+
     def test_network_past_the_enumeration_limit(self, capsys, tmp_path):
         """A 30-variable binary chain has 2^30 joint states: check --net
         stops before any trial with an analysis error naming the limit."""
@@ -286,6 +311,13 @@ class TestExitCodes:
             rc, _, err = run(capsys, *argv)
             assert rc == 1, argv
             assert err.startswith("usage error:"), argv
+
+    @pytest.mark.parametrize("option", ["--param", "--params"])
+    def test_configuration_assigning_a_parent_twice(self, capsys, option):
+        command = "sens-param" if option == "--param" else "sens-n"
+        rc, out, err = run(capsys, command, "--net", R2, option, "B|A=yes;A=no:yes")
+        assert (rc, out) == (1, "")
+        assert err == "usage error: configuration assigns parent 'A' twice\n"
 
     @pytest.mark.parametrize("command", [
         ("infer", "--target", "A"), ("sens-out", "--target", "A=yes"),

@@ -50,6 +50,19 @@ def check_every_clique(tree):
                 assert_allclose(got.table, want.table, rtol=1e-12, atol=0)
 
 
+def record_plans(monkeypatch):
+    """The `optimize` argument of every np.einsum call from here on, in order."""
+    plans = []
+    einsum = np.einsum
+
+    def recording(*args, optimize=False, **kwargs):
+        plans.append(optimize)
+        return einsum(*args, optimize=optimize, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    return plans
+
+
 def with_findings(net, seed):
     rng = np.random.default_rng(seed)
     tree = build_junction_tree(net)
@@ -72,14 +85,15 @@ def test_random_networks_match_dense_products(seed):
     check_every_clique(tree)          # every message
 
 
-def test_clique_above_the_size_gate():
+def test_clique_above_the_size_gate(monkeypatch):
     net = random_network(np.random.default_rng(24), n_vars=10, max_states=4, max_parents=4)
     tree = with_findings(net, 24)
     assert max(tree._sizes) > PLAN_ABOVE_ENTRIES >= min(tree._sizes)
+    plans = record_plans(monkeypatch)
     collect(tree)
     distribute(tree)
     check_every_clique(tree)
-    assert tree._paths  # the large clique went through a planned path
+    assert "greedy" in plans  # the large clique went through a planned path
 
 
 def test_member_no_factor_covers():
@@ -139,7 +153,9 @@ def test_planned_path_for_small_cliques_with_many_factors(monkeypatch):
     monkeypatch.setattr(jtree, "UNPLANNED_MAX_FACTORS", 1)
     net = random_network(np.random.default_rng(103))
     tree = with_findings(net, 3)
+    assert max(tree._sizes) <= PLAN_ABOVE_ENTRIES
+    plans = record_plans(monkeypatch)
     collect(tree)
     distribute(tree)
     check_every_clique(tree)
-    assert tree._paths
+    assert "greedy" in plans

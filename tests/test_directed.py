@@ -204,6 +204,44 @@ class TestInferMarginal:
 
 
 # ---------------------------------------------------------------------------
+# the directed inward pass
+
+
+class TestDirectedCollect:
+    @pytest.mark.parametrize("root, reads, sent", [
+        (0, None, {(2, 1), (1, 0)}),
+        (0, {0}, set()),
+        (0, {1}, {(1, 0)}),
+        (0, {2}, {(2, 1), (1, 0)}),
+        (2, {0}, {(0, 1), (1, 2)}),
+        (1, {0, 2}, {(0, 1), (2, 1)}),
+        (1, {2}, {(2, 1)}),
+    ])
+    def test_sends_only_the_paths_from_reads_to_the_root(self, branch, root, reads, sent):
+        tree = build_junction_tree(branch)
+        collect(tree, root, reads)
+        assert set(tree.messages) == sent
+        assert tree.stats.snapshot() == (1, 0, len(sent))
+        assert tree.current == {root} and tree.pass_root == root
+
+    def test_leaves_the_root_current_after_a_change_below_it(self, branch):
+        # D's CPT sits in clique 2; with D observed it moves p(A, e), read at
+        # clique 0 after the two messages on the path from 2.
+        ev = Evidence(branch).set_hard("D", "y")
+        ref = branch.parameter(3, 0, (0,))
+        tree = build_junction_tree(branch)
+        propagate_full(tree, ev)
+        tree.set_parameter(ref, 0.2)
+        collect(tree, 0, {2})
+        assert tree.stats.snapshot() == (2, 1, len(tree.sepsets) * 2 + 2)
+        fresh = build_junction_tree(tree.net)
+        propagate_full(fresh, ev)
+        assert_allclose(tree.read_clique(0, (0,)).table, marginal(fresh, 0), rtol=1e-14)
+        with pytest.raises(BnsenseError, match="outside the region"):
+            tree.read_clique(1, (0,))
+
+
+# ---------------------------------------------------------------------------
 # the stale-read guard
 
 
