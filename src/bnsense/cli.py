@@ -215,10 +215,13 @@ def _parse_target(net: Network, text: str) -> tuple[int, int | None]:
 def _split_params(text: str) -> list[str]:
     """Split a parameter list on commas, keeping multi-parent configurations
     (which may themselves contain commas) glued to their parameter: a
-    parameter is complete once its `:state` suffix has been seen."""
+    parameter is complete once its `:state` suffix has been seen.  Empty
+    pieces between parameters are skipped, as `--evidence` skips them."""
     out: list[str] = []
     buffer: list[str] = []
     for piece in text.split(","):
+        if not buffer and not piece.strip():
+            continue
         buffer.append(piece)
         if ":" in piece:
             out.append(",".join(buffer).strip())
@@ -226,7 +229,7 @@ def _split_params(text: str) -> list[str]:
     if buffer:
         raise _UsageError(
             f"parameter {','.join(buffer)!r} is missing its ':state' suffix")
-    return [p for p in out if p]
+    return out
 
 
 def _parse_param(net: Network, text: str) -> ParameterRef:

@@ -23,18 +23,21 @@ as a factor list (its assigned CPTs, its attached finding vectors, and its
 incoming messages), in the style of Madsen & Jensen's lazy propagation
 (AIJ 1999).  `JunctionTree.local_product` sums that list straight onto the
 variables a caller needs: a sepset for a message, one variable for a
-marginal, a family for CPT-row masses, or, with the variable's own CPT
-left out, a family for the derivative of p(e) in that CPT.  Finding vectors
-stay separate factors, which is what makes retracting a single finding
-cheap; likewise a co-varied CPT row changes only its family clique's factor
-list, so an extra n-way propagation re-sends only the messages directed away
-from the parameters' family cliques.
+marginal, or, with the variable's own CPT left out, a family for the
+derivative of p(e) in each entry of that CPT, which is what the one-way
+lines are read from.  Finding vectors stay separate factors, which is what
+makes retracting a single finding cheap; likewise a co-varied CPT row
+changes only its family clique's factor list, so an extra n-way propagation
+re-sends only the messages directed away from the parameters' family
+cliques.
 
 After a full propagation every sepset and every clique holds
 p(members, e), so `JunctionTree.joint` reads p(vars, e) from the cheapest
 of them that holds `vars`: often a sepset, whose read is one einsum of its
 two messages, rather than a large clique.  A variable-to-sepsets index,
-built on the first read, finds that holder.
+built on the first read, finds that holder.  A read that leaves a CPT out
+goes to the clique that CPT is assigned to (`read_clique`), whatever the
+cheapest holder of its family.
 
 An inward or directed outward pass leaves only part of the tree current; the
 tree records that region (`current`, `pass_root`), and `joint` and
@@ -465,7 +468,8 @@ class JunctionTree:
 
     def read_clique(self, cid: int, vars: tuple[int, ...], *,
                     omit: int | None = None) -> Potential:
-        """p(vars, e) from one current clique, without `omit`'s CPT if given."""
+        """p(vars, e) from one current clique; without `omit`'s CPT, if given,
+        its derivative in each entry of that CPT."""
         self.require_current((cid,))
         return self.local_product(cid, vars, omit=omit)
 

@@ -303,14 +303,12 @@ def network_from_dict(doc: dict) -> Network:
             if not isinstance(row, list) or len(row) != arity:
                 raise NetworkFormatError(
                     f"variable {name!r}, row {r}: expected {arity} entries")
-        try:
-            table = np.array(rows, dtype=float)
-        except (TypeError, ValueError):
-            table = None
-        # JSON true and false would convert to 1 and 0
-        if (table is None or table.shape != (expected_rows, arity)
-                or bool in map(type, itertools.chain.from_iterable(rows))):
+        entries = list(itertools.chain.from_iterable(rows))
+        # JSON true and false are ints to Python; strings and null are not numbers
+        if (not all(map(isinstance, entries, itertools.repeat((int, float))))
+                or bool in map(type, entries)):
             raise NetworkFormatError(f"variable {name!r}: cpt entries must be numbers")
+        table = np.array(rows, dtype=float)
         totals = table.sum(axis=1)
         # nonnegative entries with finite row sums are finite themselves
         if not (table.min() >= 0 and (np.abs(totals - 1.0) <= ROW_SUM_TOLERANCE).all()):

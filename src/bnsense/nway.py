@@ -38,7 +38,7 @@ from .functions import MultilinearFunction, evaluate_multilinear, subset_product
 from .jtree import JunctionTree
 from .network import Evidence, Network, ParameterRef
 from .oneway import _family_lines, _pick, _variables, read_cliques
-from .propagation import evidence_probability, propagate_full, replay
+from .propagation import evidence_probability, propagate_full, replay, require_compiled
 
 __all__ = ["check_independent", "same_clique_nway", "general_nway",
            "extra_propagation_budget", "NWayResult", "evaluate_multilinear"]
@@ -113,6 +113,7 @@ def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
     """
     net = tree.net
     _require_analyzable(net, params)
+    require_compiled(tree, [ref.variable for ref in params])
     needed = tuple(sorted({v for ref in params for v in net.family(ref.variable)}))
     home = tree.clique_containing(needed)
     if home is None:
@@ -296,6 +297,7 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
     """
     net = tree.net
     _require_analyzable(net, params)
+    require_compiled(tree, [ref.variable for ref in params])
     n = len(params)
     cap = 1 << n
     operating = np.array([net.parameter_value(ref) for ref in params])

@@ -3,21 +3,21 @@
 The posterior of interest, as a function of a single CPT entry under
 proportional co-variation, is a quotient of two lines.  Both lines of every
 entry of a variable's CPT come from one read of the variable's family per
-pass: p(family, e) from the family's cheapest holder in the tree, and the
-derivative of p(e) in each CPT entry (the mass divided by the entry, or, at
-a zero entry, the family clique's factors with the variable's own CPT left
-out).  Both are (rows, states) arrays in CPT order, and every parameter's
-line is picked out of the arrays computed from them.  One inward and two
-outward propagations serve every parameter at once, by either route:
+pass: the derivative of p(e) in each CPT entry, which is the family clique's
+factors with the variable's own CPT left out, summed onto the family
+(Darwiche, JACM 2003).  Times the CPT it is the mass p(family, e).  Both are
+(rows, states) arrays in CPT order, and every parameter's line is picked out
+of the arrays computed from them.  One inward and two outward propagations
+serve every parameter at once, by either route:
 
 * *local extraction* reads each line's slope and intercept straight off the
   mass and its derivative;
 * *two-point* evaluates the mass at a second parameter value from the same
   arrays and fits the line through the two evaluations.
 
-Both routes direct their outward passes at the cliques the family reads use
-(`read_cliques`), so a parameter that relevance screening drops costs no
-message.
+Both routes direct their outward passes at the family cliques of the
+parameters' variables (`read_cliques`), so a parameter that relevance
+screening drops costs no message.
 
 Every posterior's line pair in one parameter is fitted through two
 propagations, at the current value and at a second one.  The second is an
@@ -40,7 +40,7 @@ from .functions import LinearCoeffs, SensitivityFunction, derivative, evaluate
 from .jtree import JunctionTree
 from .network import Evidence, Network, ParameterRef, QueryRef, enumerate_parameters
 from .propagation import (collect, distribute, enter_evidence, evidence_probability,
-                          marginal, propagate_full, require_possible)
+                          marginal, propagate_full, require_compiled, require_possible)
 
 __all__ = ["relevant_parameters", "read_cliques", "one_output_all_params_m1",
            "one_output_all_params_m2", "all_outputs_one_param", "OneWayAnalysis",
@@ -115,22 +115,9 @@ def relevant_parameters(net: Network, query: QueryRef,
 # lines by family
 
 
-def _zero_clique(tree: JunctionTree, var: int) -> int | None:
-    """The clique `_family_lines` reads zero entries' derivatives from: the
-    family clique if the variable's CPT has a zero, else None."""
-    return None if tree.net.cpts[var].all() else tree.family_clique[var]
-
-
 def read_cliques(tree: JunctionTree, variables) -> set[int]:
-    """The cliques `_family_lines` reads for these variables: those each
-    family's `JunctionTree.joint` read needs, and its `_zero_clique`."""
-    cliques: set[int] = set()
-    for var in variables:
-        cliques.update(tree.holder_cliques(tree.net.family(var)))
-        zero_clique = _zero_clique(tree, var)
-        if zero_clique is not None:
-            cliques.add(zero_clique)
-    return cliques
+    """The cliques `_family_lines` reads for these variables: their family cliques."""
+    return {tree.family_clique[var] for var in variables}
 
 
 def _family_lines(tree: JunctionTree, variables, two_point: bool = False
@@ -138,14 +125,13 @@ def _family_lines(tree: JunctionTree, variables, two_point: bool = False
     """Lines of the tree's current mass in every CPT entry of each variable.
 
     Requires the cliques of `read_cliques` current.  One read per variable
-    gives `mass`, p(family, e) from the family's cheapest holder, and `grad`,
-    the derivative of the mass in each CPT entry (Darwiche, JACM 2003), both
-    as (rows, states) arrays in CPT order.  `grad` is mass / entry where the
-    entry is positive; at a zero entry the mass vanishes whatever the slope,
-    so `grad` is read there from the family clique's factors with the
-    variable's own CPT left out.  Under proportional co-variation of entry
-    (r, s), the mass of its row's other states, `covaried`, scales by
-    (1 - x) / (1 - x0) and the mass outside the row stays put.
+    gives `grad`, the derivative of p(e) in each CPT entry: the family
+    clique's factors with the variable's own CPT left out, summed onto the
+    family (Darwiche, JACM 2003), as a (rows, states) array in CPT order.
+    The mass p(family, e) is `grad` times the CPT.  Under proportional
+    co-variation of entry (r, s), the mass of its row's other states,
+    `covaried`, scales by (1 - x) / (1 - x0) and the mass outside the row
+    stays put.
 
     Local extraction gives the line directly: slope grad - covaried / (1 - x0).
     The two-point route (`two_point`) evaluates the mass at a second value
@@ -156,21 +142,16 @@ def _family_lines(tree: JunctionTree, variables, two_point: bool = False
     pe = evidence_probability(tree)
     lines: dict[int, LinearCoeffs] = {}
     for var in variables:
-        zero_clique = _zero_clique(tree, var)
         cpt = net.cpts[var]
         family = net.family(var)
         order = [family.index(v) for v in net.parents[var] + (var,)]
-        joint = tree.joint(family)
-        mass = joint.table.transpose(order).reshape(cpt.shape)
-        total = joint.total()
+        left_out = tree.read_clique(tree.family_clique[var], family, omit=var)
+        grad = left_out.table.transpose(order).reshape(cpt.shape)
+        mass = grad * cpt
+        total = mass.sum()
         rowsum = mass.sum(axis=1, keepdims=True)
         covaried = rowsum - mass
         with np.errstate(divide="ignore", invalid="ignore"):
-            grad = mass / cpt
-            if zero_clique is not None:
-                left_out = tree.read_clique(zero_clique, family, omit=var)
-                grad = np.where(cpt == 0, left_out.table.transpose(order).reshape(cpt.shape),
-                                grad)
             if two_point:
                 x2 = _second_value(cpt)
                 at_x2 = x2 * grad + (1.0 - x2) / (1.0 - cpt) * covaried + (total - rowsum)
@@ -233,6 +214,7 @@ def one_output_all_params_m1(tree: JunctionTree, query: QueryRef,
     if params is None:
         params = enumerate_parameters(tree.net)
     variables = _variables(params)
+    require_compiled(tree, [query.variable, *variables])
     home = tree.var_clique[query.variable]
     reads = read_cliques(tree, variables)
     propagate_full(tree, evidence, root=home, reads=reads)
@@ -259,6 +241,7 @@ def one_output_all_params_m2(tree: JunctionTree, query: QueryRef,
     if params is None:
         params = enumerate_parameters(tree.net)
     variables = _variables(params)
+    require_compiled(tree, [query.variable, *variables])
     home = tree.var_clique[query.variable]
     reads = read_cliques(tree, variables)
     enter_evidence(tree, evidence)
@@ -330,6 +313,7 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     x1 = tree.net.parameter_value(ref)
     if x1 >= 1.0:
         raise DegenerateParameterError("parameter value is 1; co-variation undefined")
+    require_compiled(tree, (ref.variable,))
     x2 = float(_second_value(x1))
     targets = range(tree.net.n_variables)
 

@@ -39,9 +39,17 @@ from .errors import BnsenseError, ImpossibleEvidenceError
 from .jtree import JunctionTree, PropagationStats
 from .network import Evidence, check_finding
 
-__all__ = ["PropagationStats", "enter_finding", "enter_evidence", "collect", "distribute",
-           "propagate_full", "require_possible", "evidence_probability", "marginal",
-           "infer_marginal", "replay", "retract_finding"]
+__all__ = ["PropagationStats", "require_compiled", "enter_finding", "enter_evidence",
+           "collect", "distribute", "propagate_full", "require_possible",
+           "evidence_probability", "marginal", "infer_marginal", "replay", "retract_finding"]
+
+
+def require_compiled(tree: JunctionTree, variables) -> None:
+    """Raise `BnsenseError` naming the first of `variables` the tree does not compile."""
+    for var in variables:
+        if var not in tree.family_clique:
+            raise BnsenseError(
+                f"variable {tree.net.variables[var].name!r} is not compiled in this tree")
 
 
 def enter_finding(tree: JunctionTree, var: int, vector) -> None:
@@ -52,9 +60,7 @@ def enter_finding(tree: JunctionTree, var: int, vector) -> None:
     A variable the tree does not compile raises `BnsenseError`.
     """
     var, vec = check_finding(tree.net, var, vector)
-    if var not in tree.family_clique:
-        raise BnsenseError(
-            f"variable {tree.net.variables[var].name!r} is not compiled in this tree")
+    require_compiled(tree, (var,))
     tree.findings[var] = vec
     tree.invalidate()
 
@@ -189,6 +195,7 @@ def infer_marginal(tree: JunctionTree, var: int,
 
     Raises ImpossibleEvidenceError when the evidence has probability zero.
     """
+    require_compiled(tree, (var,))
     enter_evidence(tree, evidence)
     home = tree.var_clique[var]
     collect(tree, home)

@@ -170,6 +170,10 @@ class TestSensParam:
         _, _, err = run(capsys, *self.ARGS, "--stats")
         assert err == "inward=1 outward=2 messages=3\n"
 
+    @pytest.mark.parametrize("param", ["B|A=yes:yes,", ",B|A=yes:yes", " ,B|A=yes:yes,, "])
+    def test_empty_entries_around_the_parameter_are_skipped(self, capsys, param):
+        assert run(capsys, *self.ARGS[:-1], param) == (0, SENS_PARAM_GOLDEN, "")
+
     def test_leaf_parameter_golden_and_stats(self, capsys):
         """The replay sends no message: C's family clique holds all of C."""
         rc, out, err = run(capsys, "sens-param", "--net", R2, "--evidence", "B=yes",
@@ -198,6 +202,13 @@ class TestSensN:
         for key, value in expected.items():
             assert doc["coefficients"][key] == pytest.approx(value, abs=1e-9)
         assert err == "inward=2 outward=2 messages=4\n"
+
+    @pytest.mark.parametrize("params", [
+        "A:yes,,C|B=yes:yes", ",A:yes,C|B=yes:yes", "A:yes,C|B=yes:yes,", " , A:yes, ,C|B=yes:yes"])
+    def test_empty_entries_between_parameters_are_skipped(self, capsys, params):
+        argv = ("sens-n", "--net", R2, "--evidence", "C=yes", "--stats")
+        assert (run(capsys, *argv, "--params", params)
+                == run(capsys, *argv, "--params", "A:yes,C|B=yes:yes"))
 
     def test_multi_parent_configuration_grammar(self, capsys):
         net = {"variables": [{"name": "A", "states": ["y", "n"]},
@@ -349,6 +360,10 @@ class TestExitCodes:
              "cpts": [{"variable": "A", "parents": [], "rows": [[0.6, 0.5]]}]}))
         bad_json = tmp_path / "broken.json"
         bad_json.write_text("{nope")
+        string_entry = tmp_path / "string_entry.json"
+        string_entry.write_text(json.dumps(
+            {"variables": [{"name": "A", "states": ["y", "n"]}],
+             "cpts": [{"variable": "A", "parents": [], "rows": [["0.6", 0.4]]}]}))
         not_objects = []
         # a JSON string naming a valid network file is not followed as a path
         for i, doc in enumerate([str(Path(R2).resolve()), [], None]):
@@ -357,6 +372,7 @@ class TestExitCodes:
         for path, fragment in [(tmp_path / "missing.json", "cannot read"),
                                (bad_json, "not valid JSON"),
                                (bad_sum, "sum 1.1 outside tolerance"),
+                               (string_entry, "cpt entries must be numbers"),
                                *((path, "must be a JSON object") for path in not_objects)]:
             rc, _, err = run(capsys, "infer", "--net", str(path), "--target", "A")
             assert rc == 2

@@ -77,17 +77,18 @@ class TestReadSet:
     def test_branch_read_set(self, branch):
         tree = build_junction_tree(branch)
         assert [c.members for c in tree.cliques] == [(0, 1), (0, 2), (2, 3)]
-        # A is read from sepset {A} (both ends), B from clique {A,B}
-        assert read_cliques(tree, [0, 1]) == {0, 1}
+        # A and B are read from their family clique {A,B}, D from {C,D}
+        assert read_cliques(tree, [0, 1]) == {0}
         assert read_cliques(tree, [3]) == {2}
 
-    def test_zero_entry_adds_the_family_clique(self, hidden_zero):
+    def test_zeros_add_nothing(self, hidden_zero):
         tree = build_junction_tree(hidden_zero)
-        # V0's family clique is 0, but its cheapest holder is sepset {V0,V3,V4}
+        # V0's CPT has a zero and its cheapest holder is sepset {V0,V3,V4},
+        # but its family is read from its family clique 0 alone
         assert [c.members for c in tree.cliques] == [(0, 1, 2, 3), (0, 2, 3, 4), (0, 3, 4, 5)]
         assert tree.family_clique[0] == 0 and tree.holder((0,)) == (False, 1)
         assert tree.sepsets[1].cliques == (1, 2)
-        assert read_cliques(tree, [0]) == {0, 1, 2}
+        assert read_cliques(tree, [0]) == {0}
 
     def test_zero_entry_read_reaches_its_clique(self, hidden_zero):
         query = QueryRef(5, 0)               # rooted at clique 2, the far end
@@ -118,7 +119,7 @@ class TestDirectedAnalyses:
                 expected = fit_linear_sf(branch, ref, 0, 0, ev)
                 assert_allclose(sf.coefficients(), expected.coefficients(),
                                 atol=ONEWAY_TOLERANCE)
-            assert tree.stats.snapshot() == (1, 2, 4)
+            assert tree.stats.snapshot() == (1, 2, 2)
             assert tree.stats.messages_passed < _full_messages(tree, 2)
 
     def test_general_nway_on_a_dropped_branch(self, branch):
@@ -367,7 +368,7 @@ class TestEntriesTouched:
         propagate_full(full, ev)
         full.inject_finding(0, 0, np.array([1.0, 0.0]))
         distribute(full, 0)
-        assert directed.stats.entries_touched == 16 < full.stats.entries_touched == 24
+        assert directed.stats.entries_touched == 8 < full.stats.entries_touched == 24
 
 
 class TestSweepRestoresTheNetwork:

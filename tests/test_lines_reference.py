@@ -1,15 +1,16 @@
 """Line arrays read one family at a time against the per-parameter loops.
 
-The reference functions below are the straightforward versions: for each
-parameter in turn, read its family's mass p(family, e), slice out the
-parameter's row, and either split the total mass into the part carrying the
-parameter, the part co-varying with it and the rest (local extraction), or
-reweight the row by a co-varied copy of it to evaluate the mass at a second
-value (two-point).  On CPTs without zeros the library must give the same
-lines: local extraction does the same arithmetic elementwise, so method 1
-is bit-identical; the two-point route evaluates the second point from the
-mass's derivative rather than by reweighting the row, so method 2 agrees to
-rounding.
+The reference functions below are the straightforward versions.  Local
+extraction reads, for each parameter in turn, the derivative of p(e) in its
+variable's CPT (the family clique's factors with that CPT left out), takes
+the parameter's row of it and splits the mass into the part carrying the
+parameter, the part co-varying with it and the rest.  Two-point reads the
+family's mass p(family, e) from its cheapest holder and reweights the row by
+a co-varied copy of it to evaluate the mass at a second value.  Local
+extraction does the same arithmetic as the library elementwise, so method 1
+is bit-identical; the two-point route in the library evaluates the second
+point from the derivative rather than by reweighting the row, so method 2
+agrees to rounding.
 """
 
 import numpy as np
@@ -38,6 +39,15 @@ def _reference_row_mass(tree, marg, ref):
     return np.asarray(marg.table[idx], dtype=float)
 
 
+def _reference_derivative(tree, var):
+    """The derivative of p(e) in each entry of the variable's CPT, (rows, states)."""
+    net = tree.net
+    family = net.family(var)
+    left_out = tree.read_clique(tree.family_clique[var], family, omit=var)
+    axes = [family.index(v) for v in net.parents[var] + (var,)]
+    return left_out.table.transpose(axes).reshape(net.cpts[var].shape)
+
+
 def reference_extract_lines(tree, params):
     lines, skipped, cache = {}, [], {}
     for ref in params:
@@ -45,15 +55,17 @@ def reference_extract_lines(tree, params):
         if value >= 1.0:
             skipped.append((ref, DEGENERATE))
             continue
-        marg = cache.get(ref.variable)
-        if marg is None:
-            marg = cache[ref.variable] = tree.joint(tree.net.family(ref.variable))
-        mass = _reference_row_mass(tree, marg, ref)
-        total = marg.total()
+        grad = cache.get(ref.variable)
+        if grad is None:
+            grad = cache[ref.variable] = _reference_derivative(tree, ref.variable)
+        cpt = tree.net.cpts[ref.variable]
+        row = tree.net.row_index(ref.variable, ref.parent_config)
+        mass = grad[row] * cpt[row]
+        total = (grad * cpt).sum()
         held = float(mass[ref.state])
         covaried = float(mass.sum()) - held
         rest = total - held - covaried
-        direct = held / value
+        direct = float(grad[row, ref.state])
         shrink = covaried / (1.0 - value)
         lines[ref] = LinearCoeffs(direct - shrink, shrink + rest)
     return lines, skipped

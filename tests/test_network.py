@@ -65,7 +65,8 @@ class TestLoading:
         with pytest.raises(NetworkFormatError, match="'B', row 1: entries must be finite"):
             network_from_dict(doc)
 
-    @pytest.mark.parametrize("row", [["x", 0.7], [[0.3], 0.7], [None, [0.7]], [True, False]])
+    @pytest.mark.parametrize("row", [["x", 0.7], [[0.3], 0.7], [None, [0.7]], [True, False],
+                                     ["0.3", 0.7], [" 0.3 ", 0.7], [None, 0.7]])
     def test_non_numeric_entries_rejected(self, row):
         doc = _doc(R1_DOC["variables"],
                    [R1_DOC["cpts"][0],

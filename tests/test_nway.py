@@ -149,9 +149,8 @@ class TestGeneralRoute:
         on full propagations.  Each extra setting sends, inward, the edges
         whose two sides both hold a parameter's family clique (the subtree
         joining them) and, outward, the edges on the paths from the lowest
-        family clique to the cliques the line reads use: each family's
-        cheapest holder (both ends of a sepset), and its family clique where
-        the CPT has a zero.
+        family clique to the cliques the line reads use: the parameters'
+        family cliques.
         """
         rng = np.random.default_rng(54 if connected else 55)
         cases = 0
@@ -188,19 +187,13 @@ class TestGeneralRoute:
             edges = len(tree.sepsets)
             joining = sum(1 for sep in tree.sepsets if all(
                 homes & _side(tree, sep.cliques[k], sep.cliques[1 - k]) for k in (0, 1)))
-            read = set()
-            for var in {ref.variable for ref in params}:
-                is_clique, idx = tree.holder(net.family(var))
-                read |= {idx} if is_clique else set(tree.sepsets[idx].cliques)
-                if not net.cpts[var].all():
-                    read.add(tree.family_clique[var])
             root = min(homes)
             directed = 0
             for sep in tree.sepsets:
                 a, b = sep.cliques
                 near = _side(tree, a, b)
                 far = _side(tree, b, a) if root in near else near
-                directed += bool(far & read)
+                directed += bool(far & homes)
             extra = result.extra_propagations
             assert joining >= 1
             assert result.stats == (1 + extra, 1 + extra,

@@ -19,8 +19,10 @@ import numpy as np
 import pytest
 
 from bnsense import (BnsenseError, Evidence, Network, NetworkFormatError, QueryRef, Variable,
-                     build_junction_tree, enter_finding, format_parameter, network_from_dict,
-                     network_to_dict, propagate_full, relevant_parameters)
+                     all_outputs_one_param, build_junction_tree, enter_finding,
+                     format_parameter, general_nway, infer_marginal, network_from_dict,
+                     network_to_dict, one_output_all_params_m1, one_output_all_params_m2,
+                     propagate_full, relevant_parameters, same_clique_nway)
 from bnsense import cli
 from bnsense.cli import main
 from bnsense.oracle import (brute_evidence_probability, brute_query, fit_linear_sf,
@@ -120,6 +122,25 @@ class TestRequisiteTree:
         assert tree.findings == {}
         enter_finding(tree, 1, [1.0, 0.0])
         assert set(tree.findings) == {1}
+
+    @pytest.mark.parametrize("analysis", [
+        lambda tree, r2: all_outputs_one_param(tree, r2.parameter(2, 0, (0,))),
+        lambda tree, r2: one_output_all_params_m1(tree, QueryRef(2, 0)),
+        lambda tree, r2: one_output_all_params_m2(tree, QueryRef(2, 0)),
+        lambda tree, r2: one_output_all_params_m1(tree, QueryRef(0, 0), None,
+                                                  [r2.parameter(1, 0, (0,))]),
+        lambda tree, r2: one_output_all_params_m2(tree, QueryRef(0, 0), None,
+                                                  [r2.parameter(1, 0, (0,))]),
+        lambda tree, r2: infer_marginal(tree, 2),
+        lambda tree, r2: general_nway(tree, [r2.parameter(0, 0, ()),
+                                             r2.parameter(2, 0, (0,))]),
+        lambda tree, r2: same_clique_nway(tree, [r2.parameter(2, 0, (0,))]),
+    ], ids=["sens-param", "m1-query", "m2-query", "m1-param", "m2-param", "infer",
+            "general-nway", "same-clique-nway"])
+    def test_an_analysis_outside_the_tree_raises(self, r2, analysis):
+        tree = build_junction_tree(r2, {0})
+        with pytest.raises(BnsenseError, match="'[BC]' is not compiled in this tree"):
+            analysis(tree, r2)
 
     def test_holder_outside_the_tree_raises(self, r2):
         tree = build_junction_tree(r2, {1})
