@@ -155,8 +155,10 @@ def _load_net(path: str) -> Network:
             doc = json.load(fh)
     except OSError as exc:
         raise NetworkFormatError(f"cannot read network file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise NetworkFormatError(f"network file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise NetworkFormatError(f"network file {path!r} nests too deeply to parse") from None
     if not isinstance(doc, dict):   # load_network would open a string as a path
         raise NetworkFormatError(f"network file {path!r} must be a JSON object")
     return load_network(doc)

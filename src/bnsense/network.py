@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,7 +309,11 @@ def network_from_dict(doc: dict) -> Network:
         if (not all(map(isinstance, entries, itertools.repeat((int, float))))
                 or bool in map(type, entries)):
             raise NetworkFormatError(f"variable {name!r}: cpt entries must be numbers")
-        table = np.array(rows, dtype=float)
+        try:
+            table = np.array(rows, dtype=float)
+        except OverflowError:   # an integer past the float range stands as inf here
+            table = np.array([[x if abs(x) <= sys.float_info.max else math.inf for x in row]
+                              for row in rows])
         totals = table.sum(axis=1)
         # nonnegative entries with finite row sums are finite themselves
         if not (table.min() >= 0 and (np.abs(totals - 1.0) <= ROW_SUM_TOLERANCE).all()):

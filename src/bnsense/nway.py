@@ -6,11 +6,11 @@ evidence probability is multilinear — one coefficient per parameter subset.
 Two routes compute the coefficients:
 
 * when every parameter's family lives inside one clique, a single propagation
-  suffices: each entry of p(U, e), for U the union of the families, is
-  classified by which parameter contexts hold and which designated states it
-  matches, and the 2^n coefficients come out of the 3^n group sums by one
-  2x3 contraction per parameter (parameters at value 0 are first co-varied
-  to 1/2, which costs one replay);
+  suffices: with the parameters' rows set to ones, it reads p(U, e) without
+  those rows, for U the union of the families, and one contraction with a
+  degree-1 polynomial factor per row gives the 2^n coefficients, with no
+  division by a parameter value (Castillo, Gutiérrez & Hadi, IEEE SMC-A
+  1997; Darwiche, JACM 2003);
 * in general, a linear system over the 2^n coefficients is assembled from
   whatever lower-order analyses are available plus propagations at
   deterministic fresh parameter settings, extended until full rank; each
@@ -38,7 +38,8 @@ from .functions import MultilinearFunction, evaluate_multilinear, subset_product
 from .jtree import JunctionTree
 from .network import Evidence, Network, ParameterRef
 from .oneway import _family_lines, _pick, _variables, read_cliques
-from .propagation import evidence_probability, propagate_full, replay, require_compiled
+from .propagation import (evidence_probability, propagate_full, replay, require_compiled,
+                          require_possible)
 
 __all__ = ["check_independent", "same_clique_nway", "general_nway",
            "extra_propagation_budget", "NWayResult", "evaluate_multilinear"]
@@ -80,36 +81,22 @@ def _require_analyzable(net: Network, params: list[ParameterRef]) -> None:
 # all families in one clique: one propagation
 
 
-# rows: a subset's bit for one parameter; columns: an entry's digit for it
-# (outside the context, matches the designated state, disagrees with it)
-_EXPAND = np.array([[1.0, 0.0, 1.0],
-                    [0.0, 1.0, -1.0]])
-
-
-def _on_axis(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    """A vector shaped to broadcast along one axis of an ndim-axis table."""
-    return vec.reshape(tuple(-1 if k == axis else 1 for k in range(ndim)))
-
-
 def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
                      evidence: Evidence | None = None) -> MultilinearFunction:
-    """All 2^n coefficients from one propagation, read off one table.
+    """All 2^n coefficients from one propagation, read off one clique.
 
     The route needs one clique that holds U, the union of the parameters'
-    families; it propagates toward that clique and reads p(U, e) from U's
-    cheapest holder (`JunctionTree.joint`), which is no larger than the
-    clique.  Every entry of that table carries each parameter's current row
-    value as a factor exactly when that parameter's context (its parent
-    configuration) holds in the entry.  Dividing the factor out and expanding
-    the co-variation line per held context turns each entry into signed
-    contributions to the coefficients of every subset between its matched
-    parameters and its matched-plus-disagreeing ones.
-
-    A parameter at value 0 leaves nothing to divide out, so such parameters
-    are co-varied to 1/2 and the table is read after one `replay` from their
-    family cliques; p(e) is the same multilinear function from any point on
-    the co-variation line.  The operating-point network is put back on
-    return.
+    families; `home` is the lowest such clique.  With every parameter's row
+    set to ones, one inward pass toward `home` and a read of its factors give
+    p(U, e) with the parameters' rows factored out, wherever their CPTs are
+    assigned; the outward pass is directed at `home` and sends no message.
+    Each row then comes back as a polynomial factor over its family with one
+    last axis for the (constant, x) terms: x at the held entry,
+    theta * (1 - x) / (1 - x0) at the row's other entries and 1 outside the
+    row.  One contraction of the read with the n factors leaves the
+    coefficients in mask layout; no parameter value is divided out, so a
+    parameter at 0 needs nothing else.  The operating-point network is put
+    back on return.
     """
     net = tree.net
     _require_analyzable(net, params)
@@ -120,49 +107,39 @@ def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
         raise CliqueMembershipError(
             "no single clique contains all the parameter families")
 
-    propagate_full(tree, evidence, root=home)
-    shifted = [ref for ref in params if net.parameter_value(ref) == 0.0]
+    cleared = net
+    for ref in params:
+        table = np.array(cleared.cpts[ref.variable])
+        table[net.row_index(ref.variable, ref.parent_config)] = 1.0
+        cleared = cleared.with_cpt(ref.variable, table)
+    tree.restore_network(cleared)
     try:
-        if shifted:
-            for ref in shifted:
-                tree.set_parameter(ref, 0.5)
-            replay(tree, {tree.family_clique[ref.variable] for ref in shifted})
-        pot = tree.joint(needed)
-        values = [tree.net.parameter_value(ref) for ref in params]
+        propagate_full(tree, evidence, root=home, reads={home})
+        rest = tree.read_clique(home, needed)
     finally:
-        if shifted:
-            tree.restore_network(net)
+        tree.restore_network(net)
 
-    # Classify every entry at once.  Per parameter, an entry is outside its
-    # context (digit 0), matches the designated state (1) or disagrees with
-    # it (2); the entry's weight is its mass with the held row values divided
-    # out, in parameter order.  Entries with equal digits expand alike, so
-    # they are summed first and only the at most 3^n groups are expanded.
-    table = pot.table
-    axis = {v: k for k, v in enumerate(pot.vars)}
-    n = len(params)
-    digits = np.zeros((1,) * table.ndim, dtype=np.int64)
-    weight = table
+    # per parameter, over its family in CPT axis order plus a (constant, x)
+    # axis: (1, 0) outside the row, theta / (1 - x0) * (1, -1) in it and
+    # (0, 1) at the held entry
+    values = [net.parameter_value(ref) for ref in params]
+    args = [rest.table, list(range(len(needed)))]
     for i, (ref, value) in enumerate(zip(params, values)):
-        context = np.ones((1,) * table.ndim, dtype=bool)
-        for p, s in zip(net.parents[ref.variable], ref.parent_config):
-            context = context & _on_axis(np.arange(net.arity(p)) == s, axis[p], table.ndim)
-        held = _on_axis(np.arange(net.arity(ref.variable)) == ref.state,
-                        axis[ref.variable], table.ndim)
-        digits = digits + 3 ** i * np.where(context, np.where(held, 1, 2), 0)
-        weight = weight / np.where(context, np.where(held, value, 1.0 - value), 1.0)
-
-    digits = np.broadcast_to(digits, table.shape).ravel()
-    sums = np.bincount(digits, weights=weight.ravel(), minlength=3 ** n)
-    # A group adds to the coefficient of every subset that holds its matched
-    # parameters, none outside its context and any of its disagreeing ones,
-    # with sign -1 per disagreeing one held: per parameter, digit d adds
-    # _EXPAND[b, d] to the subsets with bit b.  Contracting the digits one at
-    # a time, lowest first, leaves bit i at the place digit i had.
-    coeffs = sums
-    for _ in range(n):
-        coeffs = (_EXPAND @ coeffs.reshape(-1, 3).T).ravel()
-    return MultilinearFunction(tuple(params), dict(enumerate(coeffs.tolist())))
+        cpt = net.cpts[ref.variable]
+        r = net.row_index(ref.variable, ref.parent_config)
+        factor = np.zeros(cpt.shape + (2,)) + (1.0, 0.0)
+        factor[r] = (cpt[r] / (1.0 - value))[:, None] * (1.0, -1.0)
+        factor[r, ref.state] = (0.0, 1.0)
+        listed = net.parents[ref.variable] + (ref.variable,)
+        args += (factor.reshape(tuple(net.arity(v) for v in listed) + (2,)),
+                 [needed.index(v) for v in listed] + [len(needed) + i])
+    # output axes n-1 ... 0 put bit i of a mask on parameter i's term axis
+    args.append([len(needed) + i for i in reversed(range(len(params)))])
+    mf = MultilinearFunction(tuple(params), dict(enumerate(np.einsum(*args).ravel().tolist())))
+    # the cleared mass can be positive where only the parameters' rows make
+    # the evidence impossible; every monomial of a parameter at 0 is exactly 0
+    require_possible(evaluate_multilinear(mf, values))
+    return mf
 
 
 # ---------------------------------------------------------------------------

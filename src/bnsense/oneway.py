@@ -308,14 +308,15 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     those are that variable and its descendants (`_moved_variables`), and
     every other variable's line and the denominator are the flat line of
     their first reading.  Otherwise every variable moves; the cliques holding
-    them include every leaf, so the replay is a full outward pass.
+    them include every leaf, so the replay is a full outward pass.  Every
+    variable is reported, so the tree must compile all of them.
     """
     x1 = tree.net.parameter_value(ref)
     if x1 >= 1.0:
         raise DegenerateParameterError("parameter value is 1; co-variation undefined")
-    require_compiled(tree, (ref.variable,))
-    x2 = float(_second_value(x1))
     targets = range(tree.net.n_variables)
+    require_compiled(tree, (ref.variable, *targets))
+    x2 = float(_second_value(x1))
 
     home = tree.family_clique[ref.variable]
     propagate_full(tree, evidence, root=home)

@@ -364,6 +364,17 @@ class TestExitCodes:
         string_entry.write_text(json.dumps(
             {"variables": [{"name": "A", "states": ["y", "n"]}],
              "cpts": [{"variable": "A", "parents": [], "rows": [["0.6", 0.4]]}]}))
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(json.dumps(
+            {"variables": [{"name": "\u00c4", "states": ["y"]}],
+             "cpts": [{"variable": "\u00c4", "parents": [], "rows": [[1.0]]}]},
+            ensure_ascii=False).encode("latin-1"))
+        huge_entry = tmp_path / "huge_entry.json"
+        huge_entry.write_text(
+            '{"variables": [{"name": "A", "states": ["y", "n"]}], "cpts": [{"variable": "A", '
+            '"parents": [], "rows": [[' + "1" * 401 + ', 0]]}]}')
         not_objects = []
         # a JSON string naming a valid network file is not followed as a path
         for i, doc in enumerate([str(Path(R2).resolve()), [], None]):
@@ -373,6 +384,9 @@ class TestExitCodes:
                                (bad_json, "not valid JSON"),
                                (bad_sum, "sum 1.1 outside tolerance"),
                                (string_entry, "cpt entries must be numbers"),
+                               (deep, "nests too deeply"),
+                               (not_utf8, "not valid JSON: 'utf-8' codec can't decode"),
+                               (huge_entry, "row 0: entries must be finite and nonnegative"),
                                *((path, "must be a JSON object") for path in not_objects)]:
             rc, _, err = run(capsys, "infer", "--net", str(path), "--target", "A")
             assert rc == 2

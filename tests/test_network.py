@@ -64,6 +64,12 @@ class TestLoading:
         doc["cpts"][1]["rows"] = [[0.9, 0.1], [float("nan"), 0.7]]
         with pytest.raises(NetworkFormatError, match="'B', row 1: entries must be finite"):
             network_from_dict(doc)
+        # integers past the float range, of either sign
+        for huge in (10 ** 400, -10 ** 400):
+            doc["cpts"][1]["rows"] = [[0.9, 0.1], [huge, 0.7]]
+            with pytest.raises(NetworkFormatError,
+                               match="'B', row 1: entries must be finite and nonnegative"):
+                network_from_dict(doc)
 
     @pytest.mark.parametrize("row", [["x", 0.7], [[0.3], 0.7], [None, [0.7]], [True, False],
                                      ["0.3", 0.7], [" 0.3 ", 0.7], [None, 0.7]])

@@ -1,15 +1,19 @@
 """Joint sensitivity in several parameters: screening, extraction, solving."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from bnsense import (CliqueMembershipError, DegenerateParameterError,
-                     DependentParametersError, Evidence, RankDeficiencyError,
-                     build_junction_tree, check_independent, evaluate_multilinear,
-                     extra_propagation_budget, general_nway, load_network,
-                     same_clique_nway)
+                     DependentParametersError, Evidence, ImpossibleEvidenceError,
+                     RankDeficiencyError, build_junction_tree, check_independent,
+                     evaluate_multilinear, extra_propagation_budget, general_nway,
+                     load_network, same_clique_nway)
 from bnsense import nway
+from bnsense.cli import main
+from bnsense.network import apply_parameter
 from bnsense.nway import _eliminate
 from bnsense.oracle import (brute_evidence_probability, fit_multilinear,
                             random_independent_parameters, random_network)
@@ -92,6 +96,65 @@ class TestSameCliqueRoute:
             for mask in range(1 << n):
                 assert mf.coefficients[mask] == pytest.approx(
                     expected.coefficients[mask], abs=AGREEMENT_TOLERANCE)
+
+    def test_a_cpt_assigned_outside_the_home_clique(self):
+        """A cleared row reaches the home clique through a message; with the
+        parameter at 0 the read is the same single propagation."""
+        rng = np.random.default_rng(20)
+        outside = []
+        while not outside:
+            net = random_network(rng)
+            tree = build_junction_tree(net)
+            clique = tree.cliques[int(rng.integers(len(tree.cliques)))]
+            hosted = tuple(v for v in clique.members
+                           if set(net.family(v)) <= set(clique.members))
+            params = random_independent_parameters(rng, net, 2, within_vars=hosted)
+            if params is None:
+                continue
+            needed = tuple(sorted({v for ref in params for v in net.family(ref.variable)}))
+            home = tree.clique_containing(needed)
+            outside = [ref for ref in params if tree.family_clique[ref.variable] != home]
+        zeroed = apply_parameter(net, outside[0], 0.0)
+        assert zeroed.parameter_value(outside[0]) == 0.0
+        ev = Evidence(zeroed)
+        while not ev.variables():
+            ev = possible_evidence(rng, zeroed)
+        for case in (net, zeroed):
+            refs = [case.parameter(ref.variable, ref.state, ref.parent_config)
+                    for ref in params]
+            tree = build_junction_tree(case)
+            mf = same_clique_nway(tree, refs, ev)
+            assert tree.stats.snapshot()[:2] == (1, 1)
+            assert tree.net is case
+            expected = fit_multilinear(case, refs, ev)
+            for mask in range(4):
+                assert mf.coefficients[mask] == pytest.approx(
+                    expected.coefficients[mask], abs=AGREEMENT_TOLERANCE)
+
+    def test_evidence_impossible_only_through_the_parameter_rows(self, capsys, tmp_path):
+        """p(B=yes) = 0 at the operating point, but not with the rows cleared."""
+        doc = {"variables": [{"name": n, "states": ["yes", "no"]} for n in "AB"],
+               "cpts": [{"variable": "A", "parents": [], "rows": [[0.3, 0.7]]},
+                        {"variable": "B", "parents": ["A"], "rows": [[0.0, 1.0], [0.0, 1.0]]}]}
+        net = load_network(doc)
+        params = [net.parameter(1, 0, (0,)), net.parameter(1, 0, (1,))]
+        ev = Evidence(net).set_hard("B", "yes")
+        expected = fit_multilinear(net, params, ev)
+        assert [expected.coefficients[m] for m in range(4)] == pytest.approx(
+            [0.0, 0.3, 0.7, 0.0], abs=AGREEMENT_TOLERANCE)
+        tree = build_junction_tree(net)
+        with pytest.raises(ImpossibleEvidenceError):
+            same_clique_nway(tree, params, ev)
+        assert tree.stats.snapshot()[:2] == (1, 1)
+        assert tree.net is net
+
+        path = tmp_path / "never_yes.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["sens-n", "--net", str(path), "--evidence", "B=yes",
+                   "--params", "B|A=yes:yes,B|A=no:yes"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (3, "")
+        assert captured.err == "impossible evidence: the entered evidence has probability zero\n"
 
 
 class TestGeneralRoute:

@@ -1,13 +1,14 @@
-"""The subset-product n-way algebra against the bit loops it replaced.
+"""The subset-product n-way algebra against straightforward bit loops.
 
 The reference functions below are the straightforward versions: every
 equation row is built mask by mask, multiplying the setting values of the
-mask's bits lowest first; each same-clique entry group is expanded over the
-submasks of its disagreeing parameters; a multilinear function is evaluated
-term by term.  Rows built through `subset_products` multiply the same
-factors in the same order, so they must be bit-identical.  The same-clique
-expansion and the evaluation add their terms in another order, so they are
-held to rounding tolerances set from the float64 epsilon.
+mask's bits lowest first; the same-clique coefficients are expanded entry by
+entry and mask by mask from an enumerated table of the network with the
+parameters' rows set to ones; a multilinear function is evaluated term by
+term.  Rows built through `subset_products` multiply the same factors in the
+same order, so they must be bit-identical.  The same-clique expansion and
+the evaluation add their terms in another order, so they are held to
+rounding tolerances set from the float64 epsilon.
 """
 
 import numpy as np
@@ -15,9 +16,8 @@ import pytest
 
 from bnsense import Evidence, build_junction_tree, evaluate_multilinear, same_clique_nway
 from bnsense.functions import MultilinearFunction, subset_products
-from bnsense.nway import _mway_rows, _on_axis, _setting_rows
-from bnsense.oracle import random_independent_parameters, random_network
-from bnsense.propagation import propagate_full
+from bnsense.nway import _mway_rows, _setting_rows
+from bnsense.oracle import _joint_table, random_independent_parameters, random_network
 from tests.conftest import possible_evidence
 
 EPS = np.finfo(float).eps
@@ -88,48 +88,45 @@ def _submasks(mask):
         sub = (sub - 1) & mask
 
 
-def _reference_same_clique(tree, params, evidence):
-    """Same classification as the library; each group expanded submask by submask.
+def _reference_same_clique(net, params, evidence):
+    """p(U, e) of the network with the parameters' rows set to ones, by
+    enumeration; each entry's per-parameter pairs expanded mask by mask.
 
-    Returns the coefficients and, per coefficient, the sum of the magnitudes
-    of the group sums added into it (the scale its rounding error is bounded by).
+    Per parameter, an entry outside the row contributes (1, 0) to the
+    (constant, x) terms, the held entry (0, 1) and the row's other entries
+    theta / (1 - x0) * (1, -1).  Returns the coefficients and, per
+    coefficient, the sum of the magnitudes of the terms added into it (the
+    scale its rounding error is bounded by).
     """
-    net = tree.net
+    cleared = net
+    for ref in params:
+        table = np.array(cleared.cpts[ref.variable])
+        table[net.row_index(ref.variable, ref.parent_config)] = 1.0
+        cleared = cleared.with_cpt(ref.variable, table)
     needed = tuple(sorted({v for ref in params for v in net.family(ref.variable)}))
-    propagate_full(tree, evidence, root=tree.clique_containing(needed))
-    pot = tree.joint(needed)
-    table = pot.table
-    axis = {v: k for k, v in enumerate(pot.vars)}
+    rest = _joint_table(cleared, evidence).marginalize(needed).table
     n = len(params)
-    digits = np.zeros((1,) * table.ndim, dtype=np.int64)
-    weight = table
-    for i, ref in enumerate(params):
-        context = np.ones((1,) * table.ndim, dtype=bool)
-        for p, s in zip(net.parents[ref.variable], ref.parent_config):
-            context = context & _on_axis(np.arange(net.arity(p)) == s, axis[p], table.ndim)
-        held = _on_axis(np.arange(net.arity(ref.variable)) == ref.state,
-                        axis[ref.variable], table.ndim)
-        value = net.parameter_value(ref)
-        digits = digits + 3 ** i * np.where(context, np.where(held, 1, 2), 0)
-        weight = weight / np.where(context, np.where(held, value or 1.0, 1.0 - value), 1.0)
-
-    digits = np.broadcast_to(digits, table.shape).ravel()
-    sums = np.bincount(digits, weights=weight.ravel(), minlength=3 ** n)
     coeffs = np.zeros(1 << n)
     scale = np.zeros(1 << n)
-    for group in np.flatnonzero(sums):
-        matched = disagreeing = 0
-        code = int(group)
-        for i in range(n):
-            code, digit = divmod(code, 3)
-            if digit == 1:
-                matched |= 1 << i
-            elif digit == 2:
-                disagreeing |= 1 << i
-        for sub in _submasks(disagreeing):
-            sign = -1.0 if bin(sub).count("1") % 2 else 1.0
-            coeffs[matched | sub] += sign * float(sums[group])
-            scale[matched | sub] += abs(float(sums[group]))
+    for index in np.ndindex(rest.shape):
+        state = dict(zip(needed, index))
+        pairs = []
+        for ref in params:
+            config = tuple(state[p] for p in net.parents[ref.variable])
+            if config != ref.parent_config:
+                pairs.append((1.0, 0.0))
+            elif state[ref.variable] == ref.state:
+                pairs.append((0.0, 1.0))
+            else:
+                theta = net.row(ref.variable, config)[state[ref.variable]]
+                theta = theta / (1.0 - net.parameter_value(ref))
+                pairs.append((theta, -theta))
+        for mask in _submasks((1 << n) - 1):
+            term = float(rest[index])
+            for i in range(n):
+                term *= pairs[i][mask >> i & 1]
+            coeffs[mask] += term
+            scale[mask] += abs(term)
     return coeffs, scale
 
 
@@ -217,7 +214,8 @@ def test_same_clique_expansion_matches_submask_loop():
         cases += 1
         ev = possible_evidence(rng, net) if cases % 4 else Evidence(net)
         mf = same_clique_nway(tree, params, ev)
-        expected, scale = _reference_same_clique(tree, params, ev)
+        assert tree.stats.snapshot()[:2] == (1, 1) and tree.net is net
+        expected, scale = _reference_same_clique(net, params, ev)
         got = np.array([mf.coefficients[mask] for mask in range(1 << len(params))])
         assert sorted(mf.coefficients) == list(range(1 << len(params)))
         assert np.all(np.abs(got - expected) <= 1e-15 * scale)

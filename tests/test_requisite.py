@@ -125,6 +125,7 @@ class TestRequisiteTree:
 
     @pytest.mark.parametrize("analysis", [
         lambda tree, r2: all_outputs_one_param(tree, r2.parameter(2, 0, (0,))),
+        lambda tree, r2: all_outputs_one_param(tree, r2.parameter(0, 0, ())),
         lambda tree, r2: one_output_all_params_m1(tree, QueryRef(2, 0)),
         lambda tree, r2: one_output_all_params_m2(tree, QueryRef(2, 0)),
         lambda tree, r2: one_output_all_params_m1(tree, QueryRef(0, 0), None,
@@ -135,8 +136,8 @@ class TestRequisiteTree:
         lambda tree, r2: general_nway(tree, [r2.parameter(0, 0, ()),
                                              r2.parameter(2, 0, (0,))]),
         lambda tree, r2: same_clique_nway(tree, [r2.parameter(2, 0, (0,))]),
-    ], ids=["sens-param", "m1-query", "m2-query", "m1-param", "m2-param", "infer",
-            "general-nway", "same-clique-nway"])
+    ], ids=["sens-param", "sens-param-compiled", "m1-query", "m2-query", "m1-param",
+            "m2-param", "infer", "general-nway", "same-clique-nway"])
     def test_an_analysis_outside_the_tree_raises(self, r2, analysis):
         tree = build_junction_tree(r2, {0})
         with pytest.raises(BnsenseError, match="'[BC]' is not compiled in this tree"):

@@ -2,8 +2,8 @@
 
 At a CPT entry of value 0 the family's mass p(family, e) vanishes whatever
 the line's slope, so the slope has to be read as the derivative of p(e) in
-the entry; likewise the same-clique n-way table has no mass to divide a
-zero parameter's value out of.  Two hand-sized fixtures pin the known
+the entry; likewise the same-clique n-way read cannot divide a zero
+parameter's value out of its table.  Two hand-sized fixtures pin the known
 answers, and a seeded corpus of new random draws with about a quarter of
 their entries set to zero holds every route to the oracle: one-way methods 1
 and 2 against `fit_linear_sf`, method 1 against `all_outputs_one_param` on
@@ -120,8 +120,9 @@ class TestColliderFixture:
         mf = same_clique_nway(tree, params, ev)
         for mask, coeff in expected.coefficients.items():
             assert mf.coefficients[mask] == pytest.approx(coeff, abs=FIXTURE_TOLERANCE)
-        # one replay moves the zero parameter off 0; the network comes back
-        assert tree.stats.snapshot()[:2] == (1, 2)
+        # one propagation with the rows cleared, no replay at the zero
+        # parameter; the network comes back
+        assert tree.stats.snapshot()[:2] == (1, 1)
         assert tree.net is net
 
     def test_general_route(self):
