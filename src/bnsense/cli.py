@@ -35,11 +35,11 @@ import json
 import os
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from .errors import (BnsenseError, ImpossibleEvidenceError, NetworkFormatError)
-from .functions import SensitivityFunction, derivative, evaluate
+from .errors import BnsenseError, ImpossibleEvidenceError, NetworkFormatError, UndefinedPointError
 from .jtree import build_junction_tree
 from .network import (Evidence, Network, ParameterRef, QueryRef, format_parameter,
                       format_parent_config, load_network)
@@ -150,18 +150,8 @@ def _parser() -> _Parser:
 
 
 def _load_net(path: str) -> Network:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise NetworkFormatError(f"cannot read network file {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise NetworkFormatError(f"network file {path!r} is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise NetworkFormatError(f"network file {path!r} nests too deeply to parse") from None
-    if not isinstance(doc, dict):   # load_network would open a string as a path
-        raise NetworkFormatError(f"network file {path!r} must be a JSON object")
-    return load_network(doc)
+    """The network in the file at `path`, even one whose name begins with "{"."""
+    return load_network(Path(path))
 
 
 def _variable(net: Network, name: str) -> int:
@@ -287,15 +277,34 @@ def _print_stats(args, counts: tuple[int, int, int]) -> None:
         print(_stats_line(counts), file=sys.stderr)
 
 
-def _function_row(net: Network, ref: ParameterRef, sf: SensitivityFunction) -> list[str]:
-    alpha, beta, gamma, delta = sf.coefficients()
-    x0 = net.parameter_value(ref)
-    return [format_parameter(net, ref),
-            net.variables[ref.variable].name,
-            net.variables[ref.variable].states[ref.state],
-            format_parent_config(net, ref),
-            REAL % alpha, REAL % beta, REAL % gamma, REAL % delta,
-            REAL % evaluate(sf, x0), REAL % derivative(sf, x0)]
+def _columns(coefficients: np.ndarray, x0: np.ndarray) -> list[list[str]]:
+    """Per row of (alpha, beta, gamma, delta) coefficients: the four, then
+    the function's value and derivative at x0, formatted; the last two in the
+    operation order of `evaluate` and `derivative`, and failing as they do."""
+    alpha, beta, gamma, delta = coefficients.T
+    den = gamma * x0 + delta
+    bad = np.flatnonzero(~(den > 0))
+    if bad.size:
+        raise UndefinedPointError(f"denominator {float(den[bad[0]])!r} at "
+                                  f"x={float(x0[bad[0]])!r} is not positive")
+    values = np.column_stack([coefficients, (alpha * x0 + beta) / den,
+                              (alpha * delta - beta * gamma) / (den * den)])
+    return [[REAL % c for c in row] for row in values.tolist()]
+
+
+def _labels(net: Network, refs: list[ParameterRef]) -> list[list[str]]:
+    """The parameter, variable, state and parent_config columns, built once
+    per (variable, parent configuration)."""
+    rows, built = [], {}
+    for ref in refs:
+        key = (ref.variable, ref.parent_config)
+        if key not in built:
+            var, config = net.variables[ref.variable], format_parent_config(net, ref)
+            built[key] = (f"{var.name}|{config}:" if config else f"{var.name}:"), var, config
+        head, var, config = built[key]
+        state = var.states[ref.state]
+        rows.append([head + state, var.name, state, config])
+    return rows
 
 
 def _csv(rows: list[list[str]]) -> str:
@@ -345,19 +354,17 @@ def _run_sens_out(args) -> int:
     counts = tree.stats.snapshot()
     if args.method == "both":   # m2 resets the tree; --stats reports m1's passes
         other = one_output_all_params_m2(tree, query, evidence, params)
-        for ref, sf in analysis.functions.items():
-            mismatch = np.abs(np.array(sf.coefficients())
-                              - np.array(other.functions[ref].coefficients()))
-            if float(mismatch.max()) > CROSS_CHECK_TOLERANCE:
-                raise BnsenseError(
-                    f"methods disagree on {format_parameter(net, ref)}: "
-                    f"max coefficient gap {float(mismatch.max()):.3e}")
+        gaps = np.abs(analysis.coefficients - other.coefficients).max(axis=1)
+        bad = np.flatnonzero(gaps > CROSS_CHECK_TOLERANCE)
+        if bad.size:
+            raise BnsenseError(
+                f"methods disagree on {format_parameter(net, analysis.refs[bad[0]])}: "
+                f"max coefficient gap {float(gaps[bad[0]]):.3e}")
     for ref, reason in analysis.skipped:
         print(f"skipped {format_parameter(net, ref)}: {reason}", file=sys.stderr)
 
-    rows = [SENS_OUT_HEADER]
-    rows += [_function_row(net, ref, sf) for ref, sf in analysis.functions.items()]
-    _emit(_csv(rows), args.out)
+    rows = zip(_labels(net, analysis.refs), _columns(analysis.coefficients, analysis.x0))
+    _emit(_csv([SENS_OUT_HEADER, *(head + cols for head, cols in rows)]), args.out)
     _print_stats(args, counts)
     return EXIT_OK
 
@@ -375,14 +382,13 @@ def _run_sens_param(args) -> int:
     ref = refs[0]
     tree = build_junction_tree(net)
     analysis = all_outputs_one_param(tree, ref, evidence)
-    x0 = net.parameter_value(ref)
-    rows = [SENS_PARAM_HEADER]
-    for var in sorted(analysis.functions):
-        for state, sf in enumerate(analysis.functions[var]):
-            rows.append([net.variables[var].name, net.variables[var].states[state],
-                         *(REAL % c for c in sf.coefficients()),
-                         REAL % evaluate(sf, x0), REAL % derivative(sf, x0)])
-    _emit(_csv(rows), args.out)
+    targets = sorted(analysis.functions)
+    coefficients = np.array([sf.coefficients() for var in targets
+                             for sf in analysis.functions[var]])
+    labels = [[net.variables[var].name, state] for var in targets
+              for state in net.variables[var].states]
+    rows = zip(labels, _columns(coefficients, np.full(len(labels), net.parameter_value(ref))))
+    _emit(_csv([SENS_PARAM_HEADER, *(head + cols for head, cols in rows)]), args.out)
     _print_stats(args, tree.stats.snapshot())
     return EXIT_OK
 

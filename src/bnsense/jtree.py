@@ -25,11 +25,16 @@ incoming messages), in the style of Madsen & Jensen's lazy propagation
 variables a caller needs: a sepset for a message, one variable for a
 marginal, or, with the variable's own CPT left out, a family for the
 derivative of p(e) in each entry of that CPT, which is what the one-way
-lines are read from.  Finding vectors stay separate factors, which is what
-makes retracting a single finding cheap; likewise a co-varied CPT row
-changes only its family clique's factor list, so an extra n-way propagation
-re-sends only the messages directed away from the parameters' family
-cliques.
+lines are read from.  Each clique builds a contraction plan on first use:
+its member axes, and the axes and covered-axes bitmask of each assigned CPT
+and each neighbor's sepset.  From it `operands` lays out the einsum operands
+of a product without a per-call axis map, and a caller that reads many
+alike families (`oneway._family_lines`) stacks their operands and
+contracts them together (`contract`).  Finding vectors stay separate
+factors, which is what makes retracting a single finding cheap; likewise a
+co-varied CPT row changes only its family clique's factor list, so an extra
+n-way propagation re-sends only the messages directed away from the
+parameters' family cliques.
 
 After a full propagation every sepset and every clique holds
 p(members, e), so `JunctionTree.joint` reads p(vars, e) from the cheapest
@@ -254,12 +259,13 @@ def _all_holding(index: list[list[int]], member_sets, vars):
     return (cid for cid in holding if member_sets[cid].issuperset(vars))
 
 
-def _merge_same_scope(factors):
-    """One factor per distinct scope: the product of the tables sharing it."""
+def _merge_same_scope(operands):
+    """One operand per distinct axis list: the product of the tables sharing it."""
     merged: dict[tuple[int, ...], np.ndarray] = {}
-    for vars, table in factors:
-        merged[vars] = merged[vars] * table if vars in merged else table
-    return list(merged.items())
+    for table, axes in operands:
+        key = tuple(axes)
+        merged[key] = merged[key] * table if key in merged else table
+    return [(table, list(axes)) for axes, table in merged.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +299,7 @@ class JunctionTree:
                         enumerate(zip(members, families))]
 
         self._sizes = [math.prod(net.arity(v) for v in mem) for mem in members]
+        self._plans: list[tuple | None] = [None] * len(members)   # built by `_plan` on first use
         self._every = frozenset(range(len(members)))
         self._sepset_index: tuple | None = None   # built by the first `joint`
         self._holders: dict[tuple[int, ...], tuple[bool, int]] = {}
@@ -393,39 +400,70 @@ class JunctionTree:
 
     # -- potential views -----------------------------------------------------
 
-    def local_product(self, cid: int, keep: tuple[int, ...] | None = None, *,
-                      without: int | None = None, omit: int | None = None) -> Potential:
-        """The clique's factors, multiplied and summed onto `keep`.
+    def _plan(self, cid: int) -> tuple:
+        """Build the clique's contraction plan: its member axes, and (variable,
+        axes, covered-axes bitmask) per assigned CPT and (neighbor, axes,
+        bitmask) per sepset, in the order of `families` and `neighbors`."""
+        axis = {v: i for i, v in enumerate(self.cliques[cid].members)}
 
-        The factors are the CPTs assigned to the clique but that of variable
-        `omit`, its attached finding vectors and the messages it received
-        from every neighbor but `without`.  `keep` is a subset of the
-        clique's members and defaults to all of them; only then is the clique
-        table built.
+        def axes(vars):
+            return [axis[v] for v in vars], sum([1 << axis[v] for v in vars])
+        plan = self._plans[cid] = (
+            axis, [(v, *axes(self.net.family(v))) for v in self.cliques[cid].families],
+            [(nb, *axes(self.sepsets[s].members)) for nb, s in self.neighbors[cid]])
+        return plan
+
+    def operands(self, cid: int, keep: tuple[int, ...], *, without: int | None = None,
+                 omit: int | None = None) -> tuple[list[tuple[np.ndarray, list[int]]], list[int]]:
+        """The einsum operands, as (table, member axes) pairs, and the output
+        axes that sum the clique's factors onto the sorted `keep`.
+
+        The factors are, in this order, the CPTs assigned to the clique but
+        that of variable `omit`, its attached finding vectors, the messages it
+        received from every neighbor but `without`, and a vector of ones for
+        each member none of them covers.  Past UNPLANNED_MAX_FACTORS the
+        factors sharing a scope are multiplied first.
         """
-        members = self.cliques[cid].members
-        keep = members if keep is None else tuple(sorted(keep))
-        families = [v for v in self.cliques[cid].families if v != omit]
-        factors = [(f.vars, f.table) for f in map(self.cpt_factor, families)]
-        factors.extend(((var,), vec) for var, vec in self.attached_findings(cid))
-        for nb, _ in self.neighbors[cid]:
+        axis, cpts, seps = self._plans[cid] or self._plan(cid)
+        operands, covered = [], 0
+        for v, axes, mask in cpts:
+            if v != omit:
+                operands.append((self.cpt_factor(v).table, axes))
+                covered |= mask
+        for v, vec in self.attached_findings(cid):
+            operands.append((vec, [axis[v]]))
+            covered |= 1 << axis[v]
+        for nb, axes, mask in seps:
             msg = self.messages.get((nb, cid)) if nb != without else None
             if msg is not None:
-                factors.append((msg.vars, msg.table))
-        covered = set().union(*(vars for vars, _ in factors))
-        factors.extend(((v,), np.ones(self.net.arity(v))) for v in members if v not in covered)
+                operands.append((msg.table, axes))
+                covered |= mask
+        operands += [(np.ones(self.net.arity(v)), [i]) for v, i in axis.items()
+                     if not covered >> i & 1]
+        if len(operands) > UNPLANNED_MAX_FACTORS:
+            operands = _merge_same_scope(operands)
+        return operands, [axis[v] for v in keep]
 
-        if len(factors) > UNPLANNED_MAX_FACTORS:
-            factors = _merge_same_scope(factors)
+    def planned(self, cid: int, operands) -> bool:
+        """Whether `contract` takes these operands of the clique along a
+        greedy pairwise path: on a large clique or past UNPLANNED_MAX_FACTORS."""
+        return self._sizes[cid] > PLAN_ABOVE_ENTRIES or len(operands) > UNPLANNED_MAX_FACTORS
 
-        axis = {v: i for i, v in enumerate(members)}
-        args = []
-        for vars, table in factors:
-            args += (table, [axis[v] for v in vars])
-        args.append([axis[v] for v in keep])
-        if self._sizes[cid] <= PLAN_ABOVE_ENTRIES and len(factors) <= UNPLANNED_MAX_FACTORS:
-            return Potential(keep, np.einsum(*args))
-        return Potential(keep, np.einsum(*args, optimize="greedy"))
+    def contract(self, cid: int, operands, out: list[int]) -> np.ndarray:
+        """One einsum of the clique's `operands` onto the axes `out`; a leading
+        axis of stacked operands may be added to both.  Unplanned unless
+        `planned`."""
+        return np.einsum(*[arg for operand in operands for arg in operand], out,
+                         optimize="greedy" if self.planned(cid, operands) else False)
+
+    def local_product(self, cid: int, keep: tuple[int, ...] | None = None, *,
+                      without: int | None = None, omit: int | None = None) -> Potential:
+        """The clique's factors (`operands`), multiplied and summed onto
+        `keep`, a subset of the clique's members that defaults to all of
+        them; only then is the clique table built."""
+        keep = self.cliques[cid].members if keep is None else tuple(sorted(keep))
+        return Potential(keep, self.contract(cid, *self.operands(cid, keep, without=without,
+                                                                    omit=omit)))
 
     def clique_potential(self, cid: int) -> Potential:
         """The clique's current table; equals p(members, e) after a full propagation."""

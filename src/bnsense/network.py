@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -145,9 +146,16 @@ class Network:
         value = float(self.cpts[var][self.row_index(var, parent_config), state])
         return ParameterRef(var, state, tuple(parent_config), value)
 
+    def entry_index(self, ref: ParameterRef) -> int:
+        """Position of the parameter's entry in its CPT read in C order: row, then state."""
+        arity = self.arities[ref.variable]
+        if not 0 <= ref.state < arity:
+            raise NetworkFormatError(
+                f"variable {self.variables[ref.variable].name!r} has no state {ref.state!r}")
+        return self.row_index(ref.variable, ref.parent_config) * arity + ref.state
+
     def parameter_value(self, ref: ParameterRef) -> float:
-        return float(self.cpts[ref.variable][self.row_index(ref.variable, ref.parent_config),
-                                             ref.state])
+        return float(self.cpts[ref.variable].flat[self.entry_index(ref)])
 
     # -- derived quantities ------------------------------------------------
 
@@ -179,10 +187,11 @@ class Network:
 
 
 def _frozen_table(table) -> np.ndarray:
-    """A read-only float copy of a CPT."""
-    out = np.array(table, dtype=float)
-    out.setflags(write=False)
-    return out
+    """A read-only float CPT: the table itself if it is one already, else a copy."""
+    if not (isinstance(table, np.ndarray) and table.dtype == float and not table.flags.writeable):
+        table = np.array(table, dtype=float)
+        table.setflags(write=False)
+    return table
 
 
 def _children_of(parents: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -229,18 +238,34 @@ def _topological_order(parents: tuple[tuple[int, ...], ...],
 
 
 def load_network(source) -> Network:
-    """Build a validated Network from a path, a JSON string, or a dict."""
+    """Build a validated Network from a dict, a JSON string (a str that
+    begins with "{") or the path of a JSON file, given as any other str or
+    as an os.PathLike; a file that cannot be read or parsed is a
+    NetworkFormatError."""
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        source = json.loads(source)
     if isinstance(source, dict):
-        doc = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        doc = json.loads(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
+        return network_from_dict(source)
+    path = os.fspath(source)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    except OSError as exc:
+        raise NetworkFormatError(f"cannot read network file {path!r}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise NetworkFormatError(f"network file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise NetworkFormatError(f"network file {path!r} nests too deeply to parse") from None
     return network_from_dict(doc)
 
 
 def network_from_dict(doc: dict) -> Network:
+    """Validate a network document and build its Network.
+
+    Each cpt's structure is checked in turn; the rows of all cpts of one
+    arity are then checked and normalized at once (`_normalized`).  A bad
+    row in a cpt is still reported before a structural fault in a later one.
+    """
     if not isinstance(doc, dict):
         raise NetworkFormatError("network document must be a JSON object")
     for key in ("variables", "cpts"):
@@ -248,7 +273,7 @@ def network_from_dict(doc: dict) -> Network:
             raise NetworkFormatError(f"network document needs a {key!r} list")
 
     variables: list[Variable] = []
-    seen_names: set[str] = set()
+    ids: dict[str, int] = {}
     for i, entry in enumerate(doc["variables"]):
         if not isinstance(entry, dict) or "name" not in entry or "states" not in entry:
             raise NetworkFormatError(f"variables[{i}]: expected an object with name and states")
@@ -256,77 +281,105 @@ def network_from_dict(doc: dict) -> Network:
         states = entry["states"]
         if not isinstance(name, str) or not name:
             raise NetworkFormatError(f"variables[{i}]: name must be a nonempty string")
-        if name in seen_names:
+        if name in ids:
             raise NetworkFormatError(f"duplicate variable name {name!r}")
-        seen_names.add(name)
         if (not isinstance(states, list) or not states
                 or any(not isinstance(s, str) for s in states)):
             raise NetworkFormatError(f"variable {name!r}: states must be a nonempty string list")
         if len(set(states)) != len(states):
             raise NetworkFormatError(f"variable {name!r}: duplicate state labels")
+        ids[name] = i
         variables.append(Variable(name, tuple(states)))
 
-    ids = {v.name: i for i, v in enumerate(variables)}
     parents: list[tuple[int, ...] | None] = [None] * len(variables)
-    tables: list[np.ndarray | None] = [None] * len(variables)
-
-    for entry in doc["cpts"]:
-        if not isinstance(entry, dict) or "variable" not in entry:
-            raise NetworkFormatError("each cpt needs a variable name")
-        name = entry["variable"]
-        if name not in ids:
-            raise NetworkFormatError(f"cpt references unknown variable {name!r}")
-        var = ids[name]
-        if tables[var] is not None:
-            raise NetworkFormatError(f"variable {name!r} has more than one cpt")
-        par_names = entry.get("parents", [])
-        if not isinstance(par_names, list):
-            raise NetworkFormatError(f"variable {name!r}: parents must be a list")
-        par_ids = []
-        for p in par_names:
-            if p not in ids:
-                raise NetworkFormatError(f"variable {name!r}: unknown parent {p!r}")
-            if p == name:
-                raise NetworkFormatError(f"variable {name!r} lists itself as a parent")
-            par_ids.append(ids[p])
-        if len(set(par_ids)) != len(par_ids):
-            raise NetworkFormatError(f"variable {name!r}: duplicate parent")
-        rows = entry.get("rows")
-        arity = variables[var].arity
-        expected_rows = 1
-        for p in par_ids:
-            expected_rows *= variables[p].arity
-        if not isinstance(rows, list) or len(rows) != expected_rows:
-            got = len(rows) if isinstance(rows, list) else "none"
-            raise NetworkFormatError(
-                f"variable {name!r}: expected {expected_rows} cpt rows, got {got}")
-        for r, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != arity:
+    stacks: dict[int, list] = {}           # arity -> the rows of every cpt of that arity
+    spans: list[tuple[int, slice]] = []    # per cpt in file order: (variable, its rows there)
+    try:
+        for entry in doc["cpts"]:
+            if not isinstance(entry, dict) or "variable" not in entry:
+                raise NetworkFormatError("each cpt needs a variable name")
+            name = entry["variable"]
+            if not isinstance(name, str) or name not in ids:
+                raise NetworkFormatError(f"cpt references unknown variable {name!r}")
+            var = ids[name]
+            if parents[var] is not None:
+                raise NetworkFormatError(f"variable {name!r} has more than one cpt")
+            par_names = entry.get("parents", [])
+            if not isinstance(par_names, list):
+                raise NetworkFormatError(f"variable {name!r}: parents must be a list")
+            par_ids = []
+            for p in par_names:
+                if not isinstance(p, str) or p not in ids:
+                    raise NetworkFormatError(f"variable {name!r}: unknown parent {p!r}")
+                if p == name:
+                    raise NetworkFormatError(f"variable {name!r} lists itself as a parent")
+                par_ids.append(ids[p])
+            if len(set(par_ids)) != len(par_ids):
+                raise NetworkFormatError(f"variable {name!r}: duplicate parent")
+            rows = entry.get("rows")
+            arity = variables[var].arity
+            expected_rows = 1
+            for p in par_ids:
+                expected_rows *= variables[p].arity
+            if not isinstance(rows, list) or len(rows) != expected_rows:
+                got = len(rows) if isinstance(rows, list) else "none"
                 raise NetworkFormatError(
-                    f"variable {name!r}, row {r}: expected {arity} entries")
-        entries = list(itertools.chain.from_iterable(rows))
-        # JSON true and false are ints to Python; strings and null are not numbers
-        if (not all(map(isinstance, entries, itertools.repeat((int, float))))
-                or bool in map(type, entries)):
-            raise NetworkFormatError(f"variable {name!r}: cpt entries must be numbers")
-        try:
-            table = np.array(rows, dtype=float)
-        except OverflowError:   # an integer past the float range stands as inf here
-            table = np.array([[x if abs(x) <= sys.float_info.max else math.inf for x in row]
-                              for row in rows])
-        totals = table.sum(axis=1)
-        # nonnegative entries with finite row sums are finite themselves
-        if not (table.min() >= 0 and (np.abs(totals - 1.0) <= ROW_SUM_TOLERANCE).all()):
-            raise _row_error(name, table, totals)
-        table /= totals[:, None]
-        parents[var] = tuple(par_ids)
-        tables[var] = table
-
-    for var, t in enumerate(tables):
-        if t is None:
+                    f"variable {name!r}: expected {expected_rows} cpt rows, got {got}")
+            for r, row in enumerate(rows):
+                if not isinstance(row, list) or len(row) != arity:
+                    raise NetworkFormatError(
+                        f"variable {name!r}, row {r}: expected {arity} entries")
+            entries = list(itertools.chain.from_iterable(rows))
+            # JSON true and false are ints to Python; strings and null are not numbers
+            if (not all(map(isinstance, entries, itertools.repeat((int, float))))
+                    or bool in map(type, entries)):
+                raise NetworkFormatError(f"variable {name!r}: cpt entries must be numbers")
+            stack = stacks.setdefault(arity, [])
+            spans.append((var, slice(len(stack), len(stack) + len(rows))))
+            stack.extend(rows)
+            parents[var] = tuple(par_ids)
+    except NetworkFormatError:
+        _normalized(variables, stacks, spans)   # raises for a bad row in an earlier cpt
+        raise
+    tables = _normalized(variables, stacks, spans)
+    for var, pars in enumerate(parents):
+        if pars is None:
             raise NetworkFormatError(f"variable {variables[var].name!r} has no cpt")
-
     return Network(variables, parents, tables)  # type: ignore[arg-type]
+
+
+def _normalized(variables: list[Variable], stacks: dict[int, list],
+                spans: list[tuple[int, slice]]) -> list[np.ndarray | None]:
+    """Each cpt's table by variable, its rows divided by their own sums.
+
+    The rows of each arity are checked and normalized as one stacked array,
+    whose read-only row blocks are the tables; the sums of a stack's rows are
+    those of each table's rows.  Raises `_row_error` for the first cpt, in
+    file order, with a row whose entries are not finite and nonnegative or
+    whose sum is more than ROW_SUM_TOLERANCE from 1.
+    """
+    blocks = {}
+    for arity, rows in stacks.items():
+        try:
+            block = np.array(rows, dtype=float)
+        except OverflowError:   # an integer past the float range stands as inf here
+            block = np.array([[x if abs(x) <= sys.float_info.max else math.inf for x in row]
+                              for row in rows])
+        totals = block.sum(axis=1)
+        # nonnegative entries with finite row sums are finite themselves
+        blocks[arity] = block, totals, (block >= 0).all(axis=1) & (
+            np.abs(totals - 1.0) <= ROW_SUM_TOLERANCE)
+    clean = all(good.all() for _, _, good in blocks.values())
+    tables: list[np.ndarray | None] = [None] * len(variables)
+    for var, rows in spans:
+        block, totals, good = blocks[variables[var].arity]
+        tables[var] = block[rows]
+        if not clean and not good[rows].all():
+            raise _row_error(variables[var].name, tables[var], totals[rows])
+    for block, totals, _ in blocks.values():
+        block /= totals[:, None]
+        block.setflags(write=False)
+    return tables
 
 
 def _row_error(name: str, table: np.ndarray, totals: np.ndarray) -> NetworkFormatError:

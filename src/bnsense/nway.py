@@ -289,12 +289,12 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
     def add_rows(setting: np.ndarray) -> None:
         rows.append(_setting_rows(setting))
         rhs.append(evidence_probability(tree))
-        lines, skipped = _pick(tree.net, params, _family_lines(tree, variables))
+        lines = _family_lines(tree, variables)
+        index, _, _, skipped = _pick(tree.net, params)
         if skipped:
             raise DegenerateParameterError(
                 "a parameter reached value 1 at an analysis setting")
-        for (line,) in lines.values():
-            rhs.extend((line.slope, line.intercept))
+        rhs.extend(lines[:, index].T.ravel().tolist())
 
     reads = read_cliques(tree, variables)
     propagate_full(tree, evidence, root=min(homes), reads=reads)

@@ -6,9 +6,12 @@ entry of a variable's CPT come from one read of the variable's family per
 pass: the derivative of p(e) in each CPT entry, which is the family clique's
 factors with the variable's own CPT left out, summed onto the family
 (Darwiche, JACM 2003).  Times the CPT it is the mass p(family, e).  Both are
-(rows, states) arrays in CPT order, and every parameter's line is picked out
-of the arrays computed from them.  One inward and two outward propagations
-serve every parameter at once, by either route:
+(rows, states) arrays in CPT order.  The variables whose reads have the same
+operand shapes, subscripts and CPT axis order are read by one einsum over
+their stacked operands, and their lines computed as (variables, rows,
+states) arrays; every parameter's line is then picked out of the flat line
+arrays with one index array.  One inward and two outward propagations serve
+every parameter at once, by either route:
 
 * *local extraction* reads each line's slope and intercept straight off the
   mass and its derivative;
@@ -31,7 +34,9 @@ tests hold them to the enumeration oracle as well.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,11 +54,24 @@ __all__ = ["relevant_parameters", "read_cliques", "one_output_all_params_m1",
 
 @dataclass
 class OneWayAnalysis:
-    """Sensitivity functions for one posterior over many parameters."""
+    """Sensitivity functions for one posterior over many parameters.
+
+    Row i of `coefficients` holds the numerator's slope and intercept and the
+    denominator's slope and intercept in parameter refs[i], whose current
+    value is x0[i].
+    """
 
     query: QueryRef
-    functions: dict[ParameterRef, SensitivityFunction]
+    refs: list[ParameterRef]
+    coefficients: np.ndarray
+    x0: np.ndarray
     skipped: list[tuple[ParameterRef, str]] = field(default_factory=list)
+
+    @cached_property
+    def functions(self) -> dict[ParameterRef, SensitivityFunction]:
+        """Each kept parameter's function, built from its row on first use."""
+        return {ref: SensitivityFunction(ref, LinearCoeffs(a, b), LinearCoeffs(c, d))
+                for ref, (a, b, c, d) in zip(self.refs, self.coefficients.tolist())}
 
 
 @dataclass
@@ -120,14 +138,18 @@ def read_cliques(tree: JunctionTree, variables) -> set[int]:
     return {tree.family_clique[var] for var in variables}
 
 
-def _family_lines(tree: JunctionTree, variables, two_point: bool = False
-                  ) -> dict[int, LinearCoeffs]:
+def _family_lines(tree: JunctionTree, variables, two_point: bool = False) -> np.ndarray:
     """Lines of the tree's current mass in every CPT entry of each variable.
 
     Requires the cliques of `read_cliques` current.  One read per variable
     gives `grad`, the derivative of p(e) in each CPT entry: the family
     clique's factors with the variable's own CPT left out, summed onto the
     family (Darwiche, JACM 2003), as a (rows, states) array in CPT order.
+    The variables whose reads have the same operand shapes, subscripts and
+    CPT axis order are read together, by one einsum over their stacked
+    operands with a leading batch axis, and their lines computed together.
+    A read along a greedy path (`JunctionTree.planned`) is read alone: a
+    stacked path may round it apart from the read of one variable.
     The mass p(family, e) is `grad` times the CPT.  Under proportional
     co-variation of entry (r, s), the mass of its row's other states,
     `covaried`, scales by (1 - x) / (1 - x0) and the mass outside the row
@@ -136,55 +158,75 @@ def _family_lines(tree: JunctionTree, variables, two_point: bool = False
     Local extraction gives the line directly: slope grad - covaried / (1 - x0).
     The two-point route (`two_point`) evaluates the mass at a second value
     and fits the line through it and p(e).  Entries at value 1 come out as
-    nan; `_pick` skips them.
+    nan; `_pick` skips them.  Returns the slopes and intercepts as the two
+    rows of one array, laid out by `_offsets`.
     """
     net = tree.net
     pe = evidence_probability(tree)
-    lines: dict[int, LinearCoeffs] = {}
+    tree.require_current([tree.family_clique[var] for var in variables])
+    offsets, size = _offsets(net, variables)
+    groups: dict = {}
     for var in variables:
-        cpt = net.cpts[var]
-        family = net.family(var)
-        order = [family.index(v) for v in net.parents[var] + (var,)]
-        left_out = tree.read_clique(tree.family_clique[var], family, omit=var)
-        grad = left_out.table.transpose(order).reshape(cpt.shape)
+        cid, family = tree.family_clique[var], net.family(var)
+        operands, out = tree.operands(cid, family, omit=var)
+        order = (0, *[1 + family.index(v) for v in net.parents[var] + (var,)])
+        key = var if tree.planned(cid, operands) else (
+            *[(table.shape, tuple(axes)) for table, axes in operands], tuple(out), order)
+        groups.setdefault(key, (cid, out, order, []))[3].append((var, operands))
+    lines = np.empty((2, size))
+    for cid, out, order, group in groups.values():
+        if len(group) == 1:   # unstacked, as `read_clique` reads it
+            grad = tree.contract(cid, group[0][1], out)[None]
+        else:
+            batch = len(tree.cliques[cid].members)   # an axis label no member uses
+            grad = tree.contract(cid, [(np.stack([ops[i][0] for _, ops in group]), [batch, *axes])
+                                       for i, (_, axes) in enumerate(group[0][1])], [batch, *out])
+        cpt = np.stack([net.cpts[var] for var, _ in group])
+        grad = grad.transpose(order).reshape(cpt.shape)
         mass = grad * cpt
-        total = mass.sum()
-        rowsum = mass.sum(axis=1, keepdims=True)
+        total = mass.reshape(len(group), -1).sum(axis=1)[:, None, None]
+        rowsum = mass.sum(axis=2, keepdims=True)
         covaried = rowsum - mass
         with np.errstate(divide="ignore", invalid="ignore"):
             if two_point:
                 x2 = _second_value(cpt)
                 at_x2 = x2 * grad + (1.0 - x2) / (1.0 - cpt) * covaried + (total - rowsum)
-                lines[var] = _line_through(cpt, pe, x2, at_x2)
+                fit = _line_through(cpt, pe, x2, at_x2)
             else:
                 shrink = covaried / (1.0 - cpt)
-                lines[var] = LinearCoeffs(grad - shrink, shrink + (total - mass - covaried))
+                fit = LinearCoeffs(grad - shrink, shrink + (total - mass - covaried))
+        at = np.array([offsets[var] for var, _ in group])[:, None] + np.arange(cpt[0].size)
+        lines[0, at], lines[1, at] = fit.slope.reshape(at.shape), fit.intercept.reshape(at.shape)
     return lines
 
 
-def _pick(net: Network, params: list[ParameterRef], *lines: dict[int, LinearCoeffs]):
-    """Each parameter's line from each table of `_family_lines`, and the skipped ones.
+def _offsets(net: Network, variables) -> tuple[dict[int, int], int]:
+    """Where each variable's CPT starts in the layout of `_family_lines`, which
+    flattens the variables' CPTs in C order, one after another; and its size."""
+    sizes = [net.cpts[var].size for var in variables]
+    return dict(zip(variables, itertools.accumulate(sizes, initial=0))), sum(sizes)
 
-    Degenerate parameters (value 1) are reported, not silently dropped.
-    """
-    picked: dict[ParameterRef, tuple[LinearCoeffs, ...]] = {}
-    skipped: list[tuple[ParameterRef, str]] = []
-    for ref in params:
-        at = (net.row_index(ref.variable, ref.parent_config), ref.state)
-        if net.cpts[ref.variable][at] >= 1.0:
-            skipped.append((ref, "parameter value is 1; co-variation undefined"))
-            continue
-        picked[ref] = tuple(LinearCoeffs(float(table[ref.variable].slope[at]),
-                                         float(table[ref.variable].intercept[at]))
-                            for table in lines)
-    return picked, skipped
+
+def _pick(net: Network, params: list[ParameterRef]):
+    """Each parameter's flat index into `_family_lines` of the parameters'
+    variables, taken with one index array, and its value; returns those of
+    the parameters below 1, those parameters, and the others with the reason
+    they are skipped: they are reported, not silently dropped."""
+    offsets, _ = _offsets(net, _variables(params))
+    index = np.array([offsets[ref.variable] + net.entry_index(ref) for ref in params],
+                     dtype=np.intp)
+    x0 = np.concatenate([np.empty(0), *(net.cpts[var].ravel() for var in offsets)])[index]
+    below = x0 < 1.0
+    keep = below.tolist()
+    return (index[below], x0[below], list(itertools.compress(params, keep)),
+            [(ref, "parameter value is 1; co-variation undefined")
+             for ref, ok in zip(params, keep) if not ok])
 
 
 def _analysis(net: Network, query: QueryRef, params: list[ParameterRef],
-              num: dict[int, LinearCoeffs], den: dict[int, LinearCoeffs]) -> OneWayAnalysis:
-    picked, skipped = _pick(net, params, num, den)
-    return OneWayAnalysis(query, {ref: SensitivityFunction(ref, *pair)
-                                  for ref, pair in picked.items()}, skipped)
+              num: np.ndarray, den: np.ndarray) -> OneWayAnalysis:
+    index, x0, refs, skipped = _pick(net, params)
+    return OneWayAnalysis(query, refs, np.concatenate([num, den])[:, index].T, x0, skipped)
 
 
 def _variables(params: list[ParameterRef]) -> list[int]:
@@ -202,6 +244,16 @@ def _indicator(tree: JunctionTree, query: QueryRef) -> np.ndarray:
     return vec
 
 
+def _prepare(tree: JunctionTree, query: QueryRef, params: list[ParameterRef] | None):
+    """The parameters (by default every CPT entry), their variables, the
+    query's clique and the cliques their lines are read from."""
+    if params is None:
+        params = enumerate_parameters(tree.net)
+    variables = _variables(params)
+    require_compiled(tree, [query.variable, *variables])
+    return params, variables, tree.var_clique[query.variable], read_cliques(tree, variables)
+
+
 def one_output_all_params_m1(tree: JunctionTree, query: QueryRef,
                              evidence: Evidence | None = None,
                              params: list[ParameterRef] | None = None) -> OneWayAnalysis:
@@ -211,12 +263,7 @@ def one_output_all_params_m1(tree: JunctionTree, query: QueryRef,
     the query indicator at the query clique and replaying one outward pass
     yields every numerator line the same way.
     """
-    if params is None:
-        params = enumerate_parameters(tree.net)
-    variables = _variables(params)
-    require_compiled(tree, [query.variable, *variables])
-    home = tree.var_clique[query.variable]
-    reads = read_cliques(tree, variables)
+    params, variables, home, reads = _prepare(tree, query, params)
     propagate_full(tree, evidence, root=home, reads=reads)
     den = _family_lines(tree, variables)
 
@@ -238,12 +285,7 @@ def one_output_all_params_m2(tree: JunctionTree, query: QueryRef,
     denominator lines are the sum over the two passes, and so is p(e), which
     must be positive.
     """
-    if params is None:
-        params = enumerate_parameters(tree.net)
-    variables = _variables(params)
-    require_compiled(tree, [query.variable, *variables])
-    home = tree.var_clique[query.variable]
-    reads = read_cliques(tree, variables)
+    params, variables, home, reads = _prepare(tree, query, params)
     enter_evidence(tree, evidence)
     collect(tree, home)
 
@@ -256,9 +298,7 @@ def one_output_all_params_m2(tree: JunctionTree, query: QueryRef,
     distribute(tree, home, reads)
     require_possible(target_mass + evidence_probability(tree))
     rest = _family_lines(tree, variables, two_point=True)
-    den = {var: LinearCoeffs(num[var].slope + rest[var].slope,
-                             num[var].intercept + rest[var].intercept) for var in variables}
-    return _analysis(tree.net, query, params, num, den)
+    return _analysis(tree.net, query, params, num, num + rest)
 
 
 def _line_through(x1, y1, x2, y2) -> LinearCoeffs:

@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bnsense import cli
+from bnsense import UndefinedPointError, cli
+from bnsense.functions import LinearCoeffs, SensitivityFunction, derivative, evaluate
 from bnsense.cli import SENS_OUT_HEADER, _csv, _parser, main
 
 R1 = "tests/fixtures/r1.json"
@@ -155,6 +157,56 @@ class TestSensOut:
             assert got_row[:4] == want_row[:4]
             for g, w in zip(got_row[4:], want_row[4:]):
                 assert float(g) == pytest.approx(float(w), abs=1e-9)
+
+
+    def test_methods_that_disagree_fail(self, capsys, monkeypatch):
+        m2 = cli.one_output_all_params_m2
+
+        def skewed(*args):
+            analysis = m2(*args)
+            analysis.coefficients = analysis.coefficients.copy()
+            analysis.coefficients[2, 1] += 1e-6      # B|A=yes:yes, numerator intercept
+            return analysis
+
+        monkeypatch.setattr(cli, "one_output_all_params_m2", skewed)
+        rc, out, err = run(capsys, *self.ARGS, "--method", "both")
+        assert (rc, out) == (4, "")
+        assert err == ("analysis error: methods disagree on B|A=yes:yes: "
+                       "max coefficient gap 1.000e-06\n")
+
+    def test_value_one_parameter_is_skipped_with_a_note(self, capsys, tmp_path):
+        path = tmp_path / "sure.json"
+        path.write_text(json.dumps(
+            {"variables": [{"name": "A", "states": ["y", "n"]},
+                           {"name": "B", "states": ["y", "n"]}],
+             "cpts": [{"variable": "A", "parents": [], "rows": [[1.0, 0.0]]},
+                      {"variable": "B", "parents": ["A"], "rows": [[0.6, 0.4], [0.5, 0.5]]}]}))
+        rc, out, err = run(capsys, "sens-out", "--net", str(path), "--target", "B=y")
+        assert rc == 0
+        assert err == "skipped A:y: parameter value is 1; co-variation undefined\n"
+        assert [row.split(",")[0] for row in out.splitlines()] == [
+            "parameter", "A:n", "B|A=y:y", "B|A=y:n", "B|A=n:y", "B|A=n:n"]
+
+    def test_columns_follow_evaluate_and_derivative(self):
+        rng = np.random.default_rng(12)
+        coefficients = rng.uniform(-1.0, 1.0, (50, 4))
+        coefficients[:, 3] = np.abs(coefficients[:, 3]) + 1.0     # positive denominators
+        x0 = rng.uniform(0.0, 0.9, 50)
+        want = []
+        for (a, b, c, d), x in zip(coefficients.tolist(), x0.tolist()):
+            sf = SensitivityFunction(None, LinearCoeffs(a, b), LinearCoeffs(c, d))
+            want.append([cli.REAL % v for v in (a, b, c, d, evaluate(sf, x), derivative(sf, x))])
+        assert cli._columns(coefficients, x0) == want
+
+    def test_columns_raise_at_a_nonpositive_denominator(self):
+        coefficients = np.array([[0.1, 0.2, 0.5, 0.5], [0.1, 0.2, -1.0, 0.25], [0, 0, 0, -1.0]])
+        x0 = np.array([0.5, 0.25, 0.5])
+        sf = SensitivityFunction(None, LinearCoeffs(0.1, 0.2), LinearCoeffs(-1.0, 0.25))
+        with pytest.raises(UndefinedPointError) as want:
+            evaluate(sf, 0.25)
+        with pytest.raises(UndefinedPointError) as got:
+            cli._columns(coefficients, x0)
+        assert str(got.value) == str(want.value)
 
 
 class TestSensParam:

@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from bnsense import (DegenerateParameterError, Evidence, ImpossibleEvidenceError,
-                     NetworkFormatError, apply_parameter, build_junction_tree, covary_row,
-                     enter_finding, enumerate_parameters, format_parameter,
-                     infer_marginal, load_network, network_from_dict, network_to_dict)
+                     NetworkFormatError, ParameterRef, QueryRef, apply_parameter,
+                     build_junction_tree, covary_row, enter_finding, enumerate_parameters,
+                     format_parameter, infer_marginal, load_network, network_from_dict,
+                     network_to_dict, one_output_all_params_m1)
 from bnsense.oracle import random_network
 
 
@@ -133,6 +134,61 @@ class TestLoading:
             assert_allclose(again.cpts[v], r2.cpts[v])
         assert again.parents == r2.parents
 
+    def test_bad_row_is_named_before_a_later_structural_fault(self):
+        bad_row = {"variable": "A", "parents": [], "rows": [[0.2, 0.9]]}
+        fault = {"variable": "B", "parents": ["Z"], "rows": [[0.9, 0.1], [0.3, 0.7]]}
+        with pytest.raises(NetworkFormatError, match="'A', row 0: sum"):
+            network_from_dict(_doc(R1_DOC["variables"], [bad_row, fault]))
+        with pytest.raises(NetworkFormatError, match="'B': unknown parent 'Z'"):
+            network_from_dict(_doc(R1_DOC["variables"], [fault, bad_row]))
+        with pytest.raises(NetworkFormatError, match="'A', row 0: sum"):   # or a missing cpt
+            network_from_dict(_doc(R1_DOC["variables"], [bad_row]))
+
+    def test_mixed_arities_name_the_first_bad_cpt_in_file_order(self):
+        variables = [{"name": n, "states": [f"s{i}" for i in range(k)]}
+                     for n, k in (("A", 3), ("B", 2), ("C", 4))]
+        rows = {"A": [[0.2, 0.3, 0.5]], "B": [[0.5, 0.5]] * 3, "C": [[0.1, 0.2, 0.3, 0.4]] * 2}
+        parents = {"A": [], "B": ["A"], "C": ["B"]}
+
+        def doc(**bad):
+            return _doc(variables, [{"variable": n, "parents": parents[n], "rows": bad.get(n, r)}
+                                    for n, r in rows.items()])
+        net = network_from_dict(doc())
+        assert [t.shape for t in net.cpts] == [(1, 3), (3, 2), (2, 4)]
+        assert not any(t.flags.writeable for t in net.cpts)
+        with pytest.raises(NetworkFormatError, match="'B', row 2: entries must be finite"):
+            network_from_dict(doc(B=[[0.5, 0.5]] * 2 + [[-0.5, 1.5]],
+                                  C=[[0.1, 0.2, 0.3, 0.5]] * 2))
+        with pytest.raises(NetworkFormatError, match="'A', row 0: sum"):
+            network_from_dict(doc(A=[[0.2, 0.3, 0.6]], B=[[0.5, 0.6]] * 3))
+        with pytest.raises(NetworkFormatError, match="'C', row 1: sum 1.1"):
+            network_from_dict(doc(C=[[0.1, 0.2, 0.3, 0.4], [0.2, 0.2, 0.3, 0.4]]))
+
+    def test_names_that_are_not_strings_are_unknown(self):
+        cpts = [R1_DOC["cpts"][0], {"variable": "B", "parents": [["A"]], "rows": [[0.9, 0.1]]}]
+        with pytest.raises(NetworkFormatError, match=r"'B': unknown parent \['A'\]"):
+            network_from_dict(_doc(R1_DOC["variables"], cpts))
+        cpts = [{"variable": ["A"], "parents": [], "rows": [[0.2, 0.8]]}]
+        with pytest.raises(NetworkFormatError, match=r"unknown variable \['A'\]"):
+            network_from_dict(_doc(R1_DOC["variables"], cpts))
+
+    def test_with_cpt_copies_a_writable_table(self, r1):
+        table = np.array([[0.5, 0.5], [0.1, 0.9]])
+        net = r1.with_cpt(1, table)
+        table[0, 0] = 0.7
+        assert net.cpts[1][0, 0] == 0.5 and not net.cpts[1].flags.writeable
+        assert r1.with_cpt(1, r1.cpts[1]).cpts[1] is r1.cpts[1]   # read-only: shared
+
+    def test_unparseable_files_are_format_errors(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"variables": [{"name": "\xc4", "states": ["y"]}], "cpts": []}')
+        for path, fragment in ((deep, "nests too deeply"), (latin1, "not valid JSON")):
+            for source in (path, str(path)):
+                with pytest.raises(NetworkFormatError, match=fragment):
+                    load_network(source)
+
     def test_load_accepts_dict_and_string(self, r1):
         import json
         from_dict = load_network(R1_DOC)
@@ -231,6 +287,15 @@ class TestParameterEnumeration:
             r2.parameter(1, 7, (0,))
         with pytest.raises(NetworkFormatError, match="'B': parent config has 2 entries"):
             r2.parameter(1, 0, (0, 0))
+
+    def test_out_of_range_states_are_rejected(self, r2):
+        for state in (2, -1):
+            ref = ParameterRef(1, state, (0,), 0.5)
+            with pytest.raises(NetworkFormatError, match="'B' has no state"):
+                r2.parameter_value(ref)
+            params = [ref, r2.parameter(2, 0, (0,))]   # state 2 of B must not read C's entry
+            with pytest.raises(NetworkFormatError, match="'B' has no state"):
+                one_output_all_params_m1(build_junction_tree(r2), QueryRef(0, 0), None, params)
 
     @pytest.mark.parametrize("var", [-1, 3, True])
     def test_bad_variable_ids_are_rejected(self, r2, var):

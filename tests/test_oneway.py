@@ -80,6 +80,20 @@ class TestOneOutputAllParams:
         assert net.parameter(0, 1, ()) in analysis.functions
 
 
+    @pytest.mark.parametrize("method", [one_output_all_params_m1, one_output_all_params_m2])
+    def test_functions_match_the_coefficient_rows(self, method):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            net = random_network(rng)
+            query = QueryRef(int(rng.integers(net.n_variables)), 0)
+            _, analysis = _analyze(method, net, query, possible_evidence(rng, net))
+            assert len(analysis.refs) == len(analysis.coefficients) == len(analysis.x0)
+            assert list(analysis.functions) == analysis.refs
+            for ref, row, x0 in zip(analysis.refs, analysis.coefficients, analysis.x0):
+                assert analysis.functions[ref].coefficients() == tuple(row.tolist())
+                assert x0 == net.parameter_value(ref)
+
+
 class TestAllOutputsOneParam:
     def test_r2_matches_per_output_analysis(self, r2):
         tree = build_junction_tree(r2)
