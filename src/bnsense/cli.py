@@ -39,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BnsenseError, ImpossibleEvidenceError, NetworkFormatError, UndefinedPointError
+from .errors import BnsenseError, ImpossibleEvidenceError, NetworkFormatError
+from .functions import at_point
 from .jtree import build_junction_tree
 from .network import (Evidence, Network, ParameterRef, QueryRef, format_parameter,
                       format_parent_config, load_network)
@@ -279,16 +280,8 @@ def _print_stats(args, counts: tuple[int, int, int]) -> None:
 
 def _columns(coefficients: np.ndarray, x0: np.ndarray) -> list[list[str]]:
     """Per row of (alpha, beta, gamma, delta) coefficients: the four, then
-    the function's value and derivative at x0, formatted; the last two in the
-    operation order of `evaluate` and `derivative`, and failing as they do."""
-    alpha, beta, gamma, delta = coefficients.T
-    den = gamma * x0 + delta
-    bad = np.flatnonzero(~(den > 0))
-    if bad.size:
-        raise UndefinedPointError(f"denominator {float(den[bad[0]])!r} at "
-                                  f"x={float(x0[bad[0]])!r} is not positive")
-    values = np.column_stack([coefficients, (alpha * x0 + beta) / den,
-                              (alpha * delta - beta * gamma) / (den * den)])
+    the function's value and derivative at x0 (`at_point`), formatted."""
+    values = np.column_stack([coefficients, *at_point(coefficients, x0)])
     return [[REAL % c for c in row] for row in values.tolist()]
 
 
@@ -382,12 +375,9 @@ def _run_sens_param(args) -> int:
     ref = refs[0]
     tree = build_junction_tree(net)
     analysis = all_outputs_one_param(tree, ref, evidence)
-    targets = sorted(analysis.functions)
-    coefficients = np.array([sf.coefficients() for var in targets
-                             for sf in analysis.functions[var]])
-    labels = [[net.variables[var].name, state] for var in targets
-              for state in net.variables[var].states]
-    rows = zip(labels, _columns(coefficients, np.full(len(labels), net.parameter_value(ref))))
+    labels = [[var.name, state] for var in net.variables for state in var.states]
+    rows = zip(labels, _columns(analysis.coefficients,
+                                np.full(len(labels), net.parameter_value(ref))))
     _emit(_csv([SENS_PARAM_HEADER, *(head + cols for head, cols in rows)]), args.out)
     _print_stats(args, tree.stats.snapshot())
     return EXIT_OK
@@ -494,6 +484,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
+        # argparse stores [] for `--option=--`
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise _UsageError(f"argument --{name}: expected one argument")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -42,22 +42,28 @@ class SensitivityFunction:
                 self.denominator.slope, self.denominator.intercept)
 
 
+def at_point(coefficients, x) -> tuple[np.ndarray, np.ndarray]:
+    """Value and derivative at x (one, or one per row) of each row of
+    `SensitivityFunction.coefficients`; raises UndefinedPointError at the
+    first row whose denominator is not positive."""
+    alpha, beta, gamma, delta = np.asarray(coefficients, dtype=float).T
+    den = gamma * x + delta
+    bad = np.flatnonzero(~(den > 0))
+    if bad.size:
+        raise UndefinedPointError(f"denominator {float(den[bad[0]])!r} at "
+                                  f"x={float(np.broadcast_to(x, den.shape)[bad[0]])!r} "
+                                  "is not positive")
+    return (alpha * x + beta) / den, (alpha * delta - beta * gamma) / (den * den)
+
+
 def evaluate(sf: SensitivityFunction, x: float) -> float:
     """Value of the function at x; requires a strictly positive denominator."""
-    den = sf.denominator.at(x)
-    if not den > 0:
-        raise UndefinedPointError(f"denominator {den!r} at x={x!r} is not positive")
-    return sf.numerator.at(x) / den
+    return float(at_point([sf.coefficients()], x)[0][0])
 
 
 def derivative(sf: SensitivityFunction, x: float) -> float:
     """First derivative at x (quotient rule on the two lines)."""
-    den = sf.denominator.at(x)
-    if not den > 0:
-        raise UndefinedPointError(f"denominator {den!r} at x={x!r} is not positive")
-    num = (sf.numerator.slope * sf.denominator.intercept
-           - sf.numerator.intercept * sf.denominator.slope)
-    return num / (den * den)
+    return float(at_point([sf.coefficients()], x)[1][0])
 
 
 @dataclass(frozen=True)

@@ -16,25 +16,20 @@ touches; the clique tree costs one step per edge of the triangulated graph;
 a variable-to-cliques index places each family and answers
 `clique_containing`.
 
-The tree also owns the mutable propagation state: a cache of per-variable CPT
-factors, a registry of per-variable finding vectors, and the two directed
-messages per sepset.  A clique is never stored as a dense table.  It is kept
-as a factor list (its assigned CPTs, its attached finding vectors, and its
-incoming messages), in the style of Madsen & Jensen's lazy propagation
-(AIJ 1999).  `JunctionTree.local_product` sums that list straight onto the
-variables a caller needs: a sepset for a message, one variable for a
-marginal, or, with the variable's own CPT left out, a family for the
-derivative of p(e) in each entry of that CPT, which is what the one-way
-lines are read from.  Each clique builds a contraction plan on first use:
-its member axes, and the axes and covered-axes bitmask of each assigned CPT
-and each neighbor's sepset.  From it `operands` lays out the einsum operands
-of a product without a per-call axis map, and a caller that reads many
-alike families (`oneway._family_lines`) stacks their operands and
-contracts them together (`contract`).  Finding vectors stay separate
-factors, which is what makes retracting a single finding cheap; likewise a
-co-varied CPT row changes only its family clique's factor list, so an extra
-n-way propagation re-sends only the messages directed away from the
-parameters' family cliques.
+The tree also owns the mutable propagation state: cached CPT factors, the
+finding vectors, and the two directed messages per sepset, each a plain
+array.  A clique is never stored as a dense table but as a factor list (its
+CPTs, attached findings and incoming messages), as in Madsen & Jensen's lazy
+propagation (AIJ 1999).  Its contraction plan, built on first use, holds the
+member axes, each assigned CPT's table, axes and covered-axes bitmask, the
+family finding slots and each neighbor's sepset axes.  `send` lays a
+message's einsum operands out from the plan; a read (`local_product`) does
+the same and returns a `Potential`: a marginal, or, with a variable's own
+CPT left out, the derivative of p(e) in each entry of that CPT, which the
+one-way lines are read from.  Finding vectors stay separate factors, which
+makes retracting one cheap; a co-varied CPT row changes only its family
+clique's factors, so an extra n-way propagation re-sends only the messages
+directed away from it.
 
 After a full propagation every sepset and every clique holds
 p(members, e), so `JunctionTree.joint` reads p(vars, e) from the cheapest
@@ -59,6 +54,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+try:    # what np.einsum runs unplanned, behind a dispatch layer that costs about as much
+    from numpy._core.multiarray import c_einsum
+except ImportError:     # numpy 1.x
+    from numpy.core.multiarray import c_einsum
 
 from .errors import BnsenseError, NetworkFormatError
 from .network import Network, ParameterRef, apply_parameter
@@ -306,7 +306,7 @@ class JunctionTree:
         self._cpt_factors: dict[int, Potential] = {}
         self.findings: dict[int, np.ndarray] = {}
         self.injected: dict[int, dict[int, np.ndarray]] = {}
-        self.messages: dict[tuple[int, int], Potential] = {}
+        self.messages: dict[tuple[int, int], np.ndarray] = {}
         self.evidence_mass: float | None = None   # p(e), set by each outward pass
         self.current: frozenset[int] = frozenset()  # cliques the last pass left current
         self.pass_root: int | None = None         # root of the last pass, unless it was full
@@ -350,10 +350,6 @@ class JunctionTree:
         is_clique, idx = self.holder(vars)
         return (idx,) if is_clique else self.sepsets[idx].cliques
 
-    def clique_entries(self, cid: int) -> int:
-        """Number of entries of the clique's table."""
-        return self._sizes[cid]
-
     def charge(self, cid: int) -> Potential:
         """Evidence-free product of the CPTs assigned to the clique, as a dense table."""
         pot = Potential.ones(self.net, self.cliques[cid].members)
@@ -369,27 +365,22 @@ class JunctionTree:
         return factor
 
     def set_parameter(self, ref: ParameterRef, x: float) -> None:
-        """Co-vary one CPT row in place; drops the variable's cached CPT factor."""
-        self.net = apply_parameter(self.net, ref, x)
-        self._cpt_factors.pop(ref.variable, None)
-        self.invalidate()
+        """Co-vary one CPT row in place (`restore_network` of the co-varied network)."""
+        self.restore_network(apply_parameter(self.net, ref, x))
 
     def restore_network(self, net: Network) -> None:
-        """Swap back a network of the same structure, such as the one before
-        `set_parameter` calls; drops the cached CPT factors of changed tables."""
+        """Swap in a network of the same structure, such as the one before
+        `set_parameter` calls; drops the cached CPT factor of each changed
+        table and the plan of its family clique, which holds it."""
         for v, table in enumerate(net.cpts):
             if table is not self.net.cpts[v]:
                 self._cpt_factors.pop(v, None)
+                if v in self.family_clique:
+                    self._plans[self.family_clique[v]] = None
         self.net = net
         self.invalidate()
 
     # -- finding registry ----------------------------------------------------
-
-    def attached_findings(self, cid: int):
-        """(var, vector) pairs whose finding is multiplied in at this clique."""
-        out = [(v, self.findings[v]) for v in self.cliques[cid].families if v in self.findings]
-        out.extend(sorted(self.injected.get(cid, {}).items()))
-        return out
 
     def inject_finding(self, cid: int, var: int, vec: np.ndarray) -> None:
         """Attach an analysis-internal finding at a chosen clique (not the family one)."""
@@ -401,48 +392,67 @@ class JunctionTree:
     # -- potential views -----------------------------------------------------
 
     def _plan(self, cid: int) -> tuple:
-        """Build the clique's contraction plan: its member axes, and (variable,
-        axes, covered-axes bitmask) per assigned CPT and (neighbor, axes,
-        bitmask) per sepset, in the order of `families` and `neighbors`."""
+        """Build the clique's contraction plan: member axes and their bitmask;
+        (variable, CPT table, axes, bitmask) per CPT and (variable, axes,
+        bitmask) per finding slot, as `families`; (axes, bitmask) per
+        neighbor's sepset, as `neighbors`."""
         axis = {v: i for i, v in enumerate(self.cliques[cid].members)}
 
         def axes(vars):
             return [axis[v] for v in vars], sum([1 << axis[v] for v in vars])
+        families = self.cliques[cid].families
         plan = self._plans[cid] = (
-            axis, [(v, *axes(self.net.family(v))) for v in self.cliques[cid].families],
-            [(nb, *axes(self.sepsets[s].members)) for nb, s in self.neighbors[cid]])
+            axis, (1 << len(axis)) - 1,
+            [(v, self.cpt_factor(v).table, *axes(self.net.family(v))) for v in families],
+            [(v, [axis[v]], 1 << axis[v]) for v in families],
+            {nb: axes(self.sepsets[s].members) for nb, s in self.neighbors[cid]})
         return plan
+
+    def _factors(self, cid: int, without: int | None, omit: int | None):
+        """The clique's factors as (table, member axes) einsum operands: its
+        CPTs but `omit`'s, its findings, the messages from every neighbor but
+        `without`, and ones for each member none covers.  Past
+        UNPLANNED_MAX_FACTORS the factors sharing a scope are multiplied first."""
+        axis, every, cpts, slots, seps = self._plans[cid] or self._plan(cid)
+        operands, covered = [], 0
+        for v, table, axes, mask in cpts:
+            if v != omit:
+                operands.append((table, axes))
+                covered |= mask
+        for v, axes, mask in slots:
+            if v in self.findings:
+                operands.append((self.findings[v], axes))
+                covered |= mask
+        for v, vec in sorted(self.injected[cid].items()) if cid in self.injected else ():
+            operands.append((vec, [axis[v]]))
+            covered |= 1 << axis[v]
+        for nb in seps:
+            if nb != without and (nb, cid) in self.messages:
+                axes, mask = seps[nb]
+                operands.append((self.messages[(nb, cid)], axes))
+                covered |= mask
+        if covered != every:
+            operands += [(np.ones(self.net.arity(v)), [i]) for v, i in axis.items()
+                         if not covered >> i & 1]
+        if len(operands) > UNPLANNED_MAX_FACTORS:
+            operands = _merge_same_scope(operands)
+        return operands
 
     def operands(self, cid: int, keep: tuple[int, ...], *, without: int | None = None,
                  omit: int | None = None) -> tuple[list[tuple[np.ndarray, list[int]]], list[int]]:
-        """The einsum operands, as (table, member axes) pairs, and the output
-        axes that sum the clique's factors onto the sorted `keep`.
+        """The einsum operands (`_factors`) and the output axes that sum the
+        clique's factors onto the sorted `keep`."""
+        axis = (self._plans[cid] or self._plan(cid))[0]
+        return self._factors(cid, without, omit), [axis[v] for v in keep]
 
-        The factors are, in this order, the CPTs assigned to the clique but
-        that of variable `omit`, its attached finding vectors, the messages it
-        received from every neighbor but `without`, and a vector of ones for
-        each member none of them covers.  Past UNPLANNED_MAX_FACTORS the
-        factors sharing a scope are multiplied first.
-        """
-        axis, cpts, seps = self._plans[cid] or self._plan(cid)
-        operands, covered = [], 0
-        for v, axes, mask in cpts:
-            if v != omit:
-                operands.append((self.cpt_factor(v).table, axes))
-                covered |= mask
-        for v, vec in self.attached_findings(cid):
-            operands.append((vec, [axis[v]]))
-            covered |= 1 << axis[v]
-        for nb, axes, mask in seps:
-            msg = self.messages.get((nb, cid)) if nb != without else None
-            if msg is not None:
-                operands.append((msg.table, axes))
-                covered |= mask
-        operands += [(np.ones(self.net.arity(v)), [i]) for v, i in axis.items()
-                     if not covered >> i & 1]
-        if len(operands) > UNPLANNED_MAX_FACTORS:
-            operands = _merge_same_scope(operands)
-        return operands, [axis[v] for v in keep]
+    def send(self, src: int, dst: int) -> None:
+        """Sum the factors of clique `src` but `dst`'s message onto their
+        sepset, as the plain-array message to `dst`; counted in `stats`."""
+        plan = self._plans[src] or self._plan(src)
+        self.messages[(src, dst)] = self.contract(src, self._factors(src, dst, None),
+                                                  plan[4][dst][0])
+        self.stats.messages_passed += 1
+        self.stats.entries_touched += self._sizes[src]
 
     def planned(self, cid: int, operands) -> bool:
         """Whether `contract` takes these operands of the clique along a
@@ -453,8 +463,10 @@ class JunctionTree:
         """One einsum of the clique's `operands` onto the axes `out`; a leading
         axis of stacked operands may be added to both.  Unplanned unless
         `planned`."""
-        return np.einsum(*[arg for operand in operands for arg in operand], out,
-                         optimize="greedy" if self.planned(cid, operands) else False)
+        args = [arg for operand in operands for arg in operand]
+        if self.planned(cid, operands):
+            return np.einsum(*args, out, optimize="greedy")
+        return c_einsum(*args, out)
 
     def local_product(self, cid: int, keep: tuple[int, ...] | None = None, *,
                       without: int | None = None, omit: int | None = None) -> Potential:
@@ -484,7 +496,7 @@ class JunctionTree:
         args = []
         for key in ((a, b), (b, a)):
             msg = self.messages.get(key)
-            args += (msg.table if msg is not None else
+            args += (msg if msg is not None else
                      np.ones(tuple(self.net.arity(v) for v in sep.members)), axes)
         args.append([sep.members.index(v) for v in keep])
         return Potential(keep, np.einsum(*args))

@@ -23,10 +23,8 @@ parameters' variables (`read_cliques`), so a parameter that relevance
 screening drops costs no message.
 
 Every posterior's line pair in one parameter is fitted through two
-propagations, at the current value and at a second one.  The second is an
-outward replay from the parameter's family clique, directed at the cliques
-read for the parameter's variable and its descendants unless a finding lies
-on or below that variable; every other posterior, and p(e), cannot move.
+propagations, at the current value and at a second one, the second a
+directed replay (`all_outputs_one_param`).
 
 Both routes exist as public operations and must agree to high precision; the
 tests hold them to the enumeration oracle as well.
@@ -45,7 +43,7 @@ from .functions import LinearCoeffs, SensitivityFunction, derivative, evaluate
 from .jtree import JunctionTree
 from .network import Evidence, Network, ParameterRef, QueryRef, enumerate_parameters
 from .propagation import (collect, distribute, enter_evidence, evidence_probability,
-                          marginal, propagate_full, require_compiled, require_possible)
+                          propagate_full, require_compiled, require_possible)
 
 __all__ = ["relevant_parameters", "read_cliques", "one_output_all_params_m1",
            "one_output_all_params_m2", "all_outputs_one_param", "OneWayAnalysis",
@@ -76,11 +74,23 @@ class OneWayAnalysis:
 
 @dataclass
 class OneParamAnalysis:
-    """Sensitivity functions for all states of all targets over one parameter."""
+    """Sensitivity functions for every state of every variable over one
+    parameter: one `coefficients` row per state, in id and state order, laid
+    out as in `OneWayAnalysis`."""
 
     parameter: ParameterRef
-    functions: dict[int, tuple[SensitivityFunction, ...]]  # variable -> per-state
+    arities: tuple[int, ...]    # states per variable
+    coefficients: np.ndarray
     denominator: LinearCoeffs
+
+    @cached_property
+    def functions(self) -> dict[int, tuple[SensitivityFunction, ...]]:
+        """Each variable's per-state functions, built on first use."""
+        rows = iter(self.coefficients.tolist())
+        return {var: tuple(SensitivityFunction(self.parameter, LinearCoeffs(a, b),
+                                               LinearCoeffs(c, d))
+                           for a, b, c, d in itertools.islice(rows, arity))
+                for var, arity in enumerate(self.arities)}
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +152,11 @@ def _family_lines(tree: JunctionTree, variables, two_point: bool = False) -> np.
     """Lines of the tree's current mass in every CPT entry of each variable.
 
     Requires the cliques of `read_cliques` current.  One read per variable
-    gives `grad`, the derivative of p(e) in each CPT entry: the family
-    clique's factors with the variable's own CPT left out, summed onto the
-    family (Darwiche, JACM 2003), as a (rows, states) array in CPT order.
-    The variables whose reads have the same operand shapes, subscripts and
-    CPT axis order are read together, by one einsum over their stacked
-    operands with a leading batch axis, and their lines computed together.
-    A read along a greedy path (`JunctionTree.planned`) is read alone: a
-    stacked path may round it apart from the read of one variable.
+    gives `grad`, the derivative of p(e) in each CPT entry, as a (rows,
+    states) array in CPT order; alike reads are stacked on a leading batch
+    axis (module docstring).  A read along a greedy path
+    (`JunctionTree.planned`) is read alone: a stacked path may round it
+    apart from the read of one variable.
     The mass p(family, e) is `grad` times the CPT.  Under proportional
     co-variation of entry (r, s), the mass of its row's other states,
     `covaried`, scales by (1 - x) / (1 - x0) and the mass outside the row
@@ -351,36 +358,56 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     them include every leaf, so the replay is a full outward pass.  Every
     variable is reported, so the tree must compile all of them.
     """
-    x1 = tree.net.parameter_value(ref)
+    net = tree.net
+    x1 = net.parameter_value(ref)
     if x1 >= 1.0:
         raise DegenerateParameterError("parameter value is 1; co-variation undefined")
-    targets = range(tree.net.n_variables)
+    targets = range(net.n_variables)
     require_compiled(tree, (ref.variable, *targets))
     x2 = float(_second_value(x1))
 
     home = tree.family_clique[ref.variable]
     propagate_full(tree, evidence, root=home)
-    first = {var: marginal(tree, var) for var in targets}
+    first = _marginals(tree, targets)
     pe1 = evidence_probability(tree)
 
-    net = tree.net
     below = _moved_variables(net, ref.variable, evidence)
-    moved = targets if below is None else below
+    moved = targets if below is None else sorted(below)
     try:
         tree.set_parameter(ref, x2)
         distribute(tree, home, {cid for var in moved for cid in tree.holder_cliques((var,))})
-        second = {var: tree.joint((var,)).table for var in moved}
+        in_moved = np.repeat([below is None or var in below for var in targets], net.arities)
+        second = first.copy()
+        second[in_moved] = _marginals(tree, moved)
         den = (_line_through(x1, pe1, x2, evidence_probability(tree)) if below is None
                else LinearCoeffs(0.0, pe1))
     finally:
         tree.restore_network(net)
 
-    functions = {
-        var: tuple(
-            SensitivityFunction(
-                ref, _line_through(x1, float(first[var][s]), x2, float(second[var][s]))
-                if var in second else LinearCoeffs(0.0, float(first[var][s])), den)
-            for s in range(tree.net.arity(var)))
-        for var in targets
-    }
-    return OneParamAnalysis(ref, functions, den)
+    fit = _line_through(x1, first, x2, second)
+    coefficients = np.column_stack([np.where(in_moved, fit.slope, 0.0),
+                                    np.where(in_moved, fit.intercept, first),
+                                    np.broadcast_to([den.slope, den.intercept], (len(first), 2))])
+    return OneParamAnalysis(ref, net.arities, coefficients, den)
+
+
+def _marginals(tree: JunctionTree, variables) -> np.ndarray:
+    """Each variable's p(var, e) as `JunctionTree.joint` reads it, one after
+    another; sepset reads of one message shape and axis are one einsum over
+    the stacked messages.  The holders' cliques must be current."""
+    reads, groups = {}, {}
+    for var in variables:
+        is_clique, idx = tree.holder((var,))
+        if is_clique:
+            reads[var] = tree.joint((var,)).table
+        else:
+            sep = tree.sepsets[idx]
+            key = (tree.messages[sep.cliques].shape, sep.members.index(var))
+            groups.setdefault(key, []).append((var, sep.cliques))
+    for (shape, axis), group in groups.items():
+        axes = list(range(len(shape) + 1))   # axis 0 runs over the group
+        read = np.einsum(np.stack([tree.messages[(a, b)] for _, (a, b) in group]), axes,
+                         np.stack([tree.messages[(b, a)] for _, (a, b) in group]), axes,
+                         [0, axis + 1])
+        reads.update(zip([var for var, _ in group], read))
+    return np.concatenate([reads[var] for var in variables])

@@ -7,13 +7,10 @@ reference the engine is tested against; it must stay dead simple.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .functions import LinearCoeffs, MultilinearFunction, SensitivityFunction, evaluate_multilinear
-from .network import (Evidence, Network, ParameterRef, Variable, apply_parameter,
-                      enumerate_parameters)
+from .network import Evidence, Network, ParameterRef, Variable, apply_parameter
 from .potentials import Potential
 
 MAX_STATE_BITS = 20.0
@@ -25,15 +22,6 @@ def _guard(net: Network) -> None:
     if bits > MAX_STATE_BITS:
         raise ValueError(
             f"joint state space of 2^{bits:.1f} states is too large to enumerate")
-
-
-def brute_joint(net: Network, assignment: tuple[int, ...]) -> float:
-    """p(assignment) as the product of one CPT entry per variable."""
-    prob = 1.0
-    for var in range(net.n_variables):
-        config = tuple(assignment[p] for p in net.parents[var])
-        prob *= float(net.row(var, config)[assignment[var]])
-    return prob
 
 
 def _joint_table(net: Network, evidence: Evidence | None) -> Potential:
@@ -173,39 +161,9 @@ def random_evidence(rng: np.random.Generator, net: Network,
         else:
             ev.set_likelihood(var, rng.uniform(0.1, 1.0, size=arity))
     return ev
-
-
-def random_independent_parameters(rng: np.random.Generator, net: Network, n: int,
-                                  within_vars: tuple[int, ...] | None = None,
-                                  tries: int = 200) -> list[ParameterRef] | None:
-    """Draw n pairwise-independent parameters, or None if the draws keep failing."""
-    from .nway import check_independent  # local import: nway depends on this module's peers
-
-    pool = enumerate_parameters(net, within_vars)
-    if len(pool) < n:
-        return None
     for _ in range(tries):
         idx = rng.choice(len(pool), size=n, replace=False)
         refs = [pool[int(i)] for i in idx]
         if check_independent(net, refs):
             return refs
     return None
-
-
-def constant_on_grid(net: Network, ref: ParameterRef, variable: int, state: int,
-                     evidence: Evidence | None = None, points: int = 5) -> float:
-    """Max deviation of the brute posterior from constant over a grid in the parameter."""
-    values = []
-    for x in np.linspace(0.0, 1.0, points):
-        joint, total = brute_query(apply_parameter(net, ref, float(x)), variable, state, evidence)
-        if total <= 0:
-            continue
-        values.append(joint / total)
-    if not values:
-        return 0.0
-    return float(max(values) - min(values))
-
-
-def assignments(net: Network):
-    """All joint assignments (state-index tuples) of the network's variables."""
-    return itertools.product(*(range(net.arity(v)) for v in range(net.n_variables)))

@@ -1,10 +1,11 @@
 """Message passing on a junction tree: collect, distribute, marginals, retraction.
 
-Messages are directed: each sepset stores one potential per direction.  A
+Messages are directed: each sepset stores one plain array per direction.  A
 message out of a clique is the product of the clique's assigned CPTs, its
 attached finding vectors and the messages it received from its *other*
-neighbors, summed onto the sepset in one contraction
-(`JunctionTree.local_product`) that never builds the clique table.  This is
+neighbors, summed onto the sepset in one contraction laid out from the
+clique's plan (`JunctionTree.send`) that never builds the clique table and
+builds no `Potential`; a `Potential` is what the reads return.  This is
 algebraically the classical flow (marginalize, divide by the old sepset
 content, multiply into the receiver) with the division cancelled symbolically
 — which is exactly what lets a replayed outward pass retract a hard finding
@@ -66,37 +67,30 @@ def enter_finding(tree: JunctionTree, var: int, vector) -> None:
 
 
 def _bfs(tree: JunctionTree, root: int):
-    """BFS order of the tree from the root plus each clique's (parent, sepset)."""
+    """BFS order of the tree from the root plus each clique's parent."""
     order = [root]
-    parent: dict[int, tuple[int, int]] = {}
+    parent: dict[int, int] = {}
     seen = {root}
     i = 0
     while i < len(order):
         cur = order[i]
         i += 1
-        for nb, s_idx in tree.neighbors[cur]:
+        for nb, _ in tree.neighbors[cur]:
             if nb not in seen:
                 seen.add(nb)
-                parent[nb] = (cur, s_idx)
+                parent[nb] = cur
                 order.append(nb)
     return order, parent
 
 
-def _region(parent: dict[int, tuple[int, int]], root: int, reads: set[int]) -> frozenset[int]:
+def _region(parent: dict[int, int], root: int, reads: set[int]) -> frozenset[int]:
     """The root and every clique on its paths to the `reads` cliques."""
     region = {root}
     for cid in reads:
         while cid not in region:
             region.add(cid)
-            cid = parent[cid][0]
+            cid = parent[cid]
     return frozenset(region)
-
-
-def _send(tree: JunctionTree, src: int, dst: int, s_idx: int) -> None:
-    tree.messages[(src, dst)] = tree.local_product(src, tree.sepsets[s_idx].members,
-                                                   without=dst)
-    tree.stats.messages_passed += 1
-    tree.stats.entries_touched += tree.clique_entries(src)
 
 
 def _require_root(tree: JunctionTree, root: int) -> None:
@@ -128,8 +122,7 @@ def collect(tree: JunctionTree, root: int = 0, reads: set[int] | None = None) ->
     region = None if reads is None else _region(parent, root, reads)
     for cid in reversed(order[1:]):
         if region is None or cid in region:
-            p, s_idx = parent[cid]
-            _send(tree, cid, p, s_idx)
+            tree.send(cid, parent[cid])
     tree.stats.inward_propagations += 1
     tree.evidence_mass = None
     tree.left_current(root, frozenset((root,)))
@@ -151,9 +144,8 @@ def distribute(tree: JunctionTree, root: int = 0, reads: set[int] | None = None)
     region = None if reads is None else _region(parent, root, reads)
     for cid in order[1:]:
         if region is None or cid in region:
-            p, s_idx = parent[cid]
-            _send(tree, p, cid, s_idx)
-    tree.evidence_mass = tree.local_product(root, ()).total()
+            tree.send(parent[cid], cid)
+    tree.evidence_mass = float(tree.contract(root, *tree.operands(root, ())))
     tree.stats.outward_propagations += 1
     tree.left_current(root, region)
 

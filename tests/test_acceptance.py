@@ -27,10 +27,9 @@ from bnsense import (Evidence, QueryRef, all_outputs_one_param, build_junction_t
                      retract_finding, same_clique_nway)
 from bnsense.cli import main as cli_main
 from bnsense.network import enumerate_parameters
-from bnsense.oracle import (brute_query, constant_on_grid, fit_linear_sf,
-                            fit_multilinear, random_independent_parameters,
-                            random_network)
+from bnsense.oracle import brute_query, fit_linear_sf, fit_multilinear, random_network
 from tests.conftest import possible_evidence
+from tests.oracle_helpers import constant_on_grid, random_independent_parameters
 from tests.test_jtree import has_running_intersection
 
 CORPUS_SIZE = 200

@@ -19,7 +19,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from bnsense import build_junction_tree, load_network
-from bnsense.jtree import PLAN_ABOVE_ENTRIES, UNPLANNED_MAX_FACTORS
+from bnsense.jtree import UNPLANNED_MAX_FACTORS
 from bnsense.network import Evidence, network_to_dict
 from bnsense.oneway import _family_lines, _offsets
 from bnsense.oracle import random_network
@@ -121,7 +121,7 @@ def test_wide_clique_network_with_planned_cliques():
         del sys.modules["workloads"]
     net = load_network(json.loads(json.dumps(workloads.wide_clique(1).models[0].to_doc())))
     tree = build_junction_tree(net)
-    assert max(tree.clique_entries(c.id) for c in tree.cliques) > PLAN_ABOVE_ENTRIES
+    assert any(tree.planned(c.id, ()) for c in tree.cliques)    # by size alone
     evidence = Evidence(net)
     for var in workloads.WIDE_FINDINGS:
         evidence.set_hard(var, 0)
@@ -162,5 +162,5 @@ def test_alike_planned_cliques():
                  for entry in doc["cpts"] for rows in [entry["rows"]]]
     net = load_network({"variables": variables, "cpts": cpts})
     tree = build_junction_tree(net)
-    assert sorted(tree.clique_entries(c.id) for c in tree.cliques)[-3] > PLAN_ABOVE_ENTRIES
+    assert sum(tree.planned(c.id, ()) for c in tree.cliques) >= 3
     check_both_passes(tree, Evidence(net).set_hard(0, 0), rng)

@@ -195,6 +195,9 @@ class TestSensOut:
         want = []
         for (a, b, c, d), x in zip(coefficients.tolist(), x0.tolist()):
             sf = SensitivityFunction(None, LinearCoeffs(a, b), LinearCoeffs(c, d))
+            den = c * x + d     # the quotient rule in Python floats
+            assert (evaluate(sf, x), derivative(sf, x)) == ((a * x + b) / den,
+                                                            (a * d - b * c) / (den * den))
             want.append([cli.REAL % v for v in (a, b, c, d, evaluate(sf, x), derivative(sf, x))])
         assert cli._columns(coefficients, x0) == want
 
@@ -374,6 +377,17 @@ class TestExitCodes:
             rc, _, err = run(capsys, *argv)
             assert rc == 1, argv
             assert err.startswith("usage error:"), argv
+
+    @pytest.mark.parametrize("argv", [
+        ("infer", "--net", R1, "--target", "A", "--evidence=--"),
+        ("infer", "--net", R1, "--target=--"),
+        ("sens-n", "--net=--", "--params", "A:yes"),
+        ("sens-out", "--net", R1, "--target", "A=yes", "--method=--")])
+    def test_a_double_dash_value_is_a_usage_error(self, capsys, argv):
+        # argparse drops a `--` value given as --option=-- and stores []
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage error: argument --")
 
     @pytest.mark.parametrize("option", ["--param", "--params"])
     def test_configuration_assigning_a_parent_twice(self, capsys, option):

@@ -20,12 +20,13 @@ from tests.conftest import possible_evidence
 
 def dense_product(tree, cid, without=None):
     pot = tree.charge(cid)
-    for var, vec in tree.attached_findings(cid):
+    attached = [(v, tree.findings[v]) for v in tree.cliques[cid].families if v in tree.findings]
+    for var, vec in attached + sorted(tree.injected.get(cid, {}).items()):
         pot = pot.multiply_vector(var, vec)
-    for nb, _ in tree.neighbors[cid]:
+    for nb, s_idx in tree.neighbors[cid]:
         msg = tree.messages.get((nb, cid))
         if nb != without and msg is not None:
-            pot = pot.multiply(msg)
+            pot = pot.multiply(Potential(tree.sepsets[s_idx].members, msg))
     return pot
 
 

@@ -19,10 +19,10 @@ from bnsense import nway, oneway
 from bnsense.functions import evaluate
 from bnsense.network import enumerate_parameters
 from bnsense.oneway import _family_lines, read_cliques
-from bnsense.oracle import (brute_query, fit_linear_sf, fit_multilinear,
-                            random_independent_parameters, random_network)
+from bnsense.oracle import brute_query, fit_linear_sf, fit_multilinear, random_network
 from bnsense.propagation import collect
 from tests.conftest import possible_evidence
+from tests.oracle_helpers import random_independent_parameters
 from tests.test_acceptance import NWAY_TOLERANCE, ONEWAY_TOLERANCE
 from tests.test_zero_parameters import ZERO_CORPUS_SEED, _with_zeros
 

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 from bnsense import build_junction_tree, load_network
 from bnsense.jtree import moralize, triangulate
-from bnsense.oracle import assignments, brute_joint, random_network
+from bnsense.oracle import random_network
+from tests.oracle_helpers import assignments, brute_joint
 
 
 def _uniform_net(parent_map):

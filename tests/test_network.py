@@ -189,6 +189,19 @@ class TestLoading:
                 with pytest.raises(NetworkFormatError, match=fragment):
                     load_network(source)
 
+    def test_a_repeated_key_takes_its_last_value(self, tmp_path):
+        """As in Python's `json`, the last occurrence of a repeated key wins."""
+        text = ('{"variables": [{"name": "A", "states": ["y"]}], "cpts": [], '
+                '"cpts": [{"variable": "A", "parents": [], "rows": [[1.0]], '
+                '"rows": [[0.25, 0.75]]}], "variables": [{"name": "A", "states": ["y"], '
+                '"states": ["t", "f"]}]}')
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        for source in (text, path):
+            net = load_network(source)
+            assert net.variables[0].states == ("t", "f")
+            assert_allclose(net.cpts[0], [[0.25, 0.75]])
+
     def test_load_accepts_dict_and_string(self, r1):
         import json
         from_dict = load_network(R1_DOC)

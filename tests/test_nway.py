@@ -15,10 +15,10 @@ from bnsense import nway
 from bnsense.cli import main
 from bnsense.network import apply_parameter
 from bnsense.nway import _eliminate
-from bnsense.oracle import (brute_evidence_probability, fit_multilinear,
-                            random_independent_parameters, random_network)
+from bnsense.oracle import brute_evidence_probability, fit_multilinear, random_network
 from bnsense.propagation import collect, distribute, propagate_full
 from tests.conftest import possible_evidence
+from tests.oracle_helpers import random_independent_parameters
 from tests.test_acceptance import NWAY_TOLERANCE
 
 FIXTURE_TOLERANCE = 1e-12

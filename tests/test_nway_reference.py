@@ -17,8 +17,9 @@ import pytest
 from bnsense import Evidence, build_junction_tree, evaluate_multilinear, same_clique_nway
 from bnsense.functions import MultilinearFunction, subset_products
 from bnsense.nway import _mway_rows, _setting_rows
-from bnsense.oracle import _joint_table, random_independent_parameters, random_network
+from bnsense.oracle import _joint_table, random_network
 from tests.conftest import possible_evidence
+from tests.oracle_helpers import random_independent_parameters
 
 EPS = np.finfo(float).eps
 

@@ -12,9 +12,9 @@ from numpy.testing import assert_allclose
 
 from bnsense import Evidence, enumerate_parameters
 from bnsense.nway import check_independent
-from bnsense.oracle import (brute_evidence_probability, brute_joint, brute_query,
-                            fit_linear_sf, fit_multilinear, random_evidence,
-                            random_independent_parameters, random_network)
+from bnsense.oracle import (brute_evidence_probability, brute_query, fit_linear_sf,
+                            fit_multilinear, random_evidence, random_network)
+from tests.oracle_helpers import brute_joint, random_independent_parameters
 
 # Chain A -> B: p(A=yes)=0.2, p(B=yes|A=yes)=0.9, p(B=yes|A=no)=0.3.
 # Chain A -> B -> C adds p(C=yes|B=yes)=0.7, p(C=yes|B=no)=0.1.

@@ -10,9 +10,9 @@ from bnsense import (BnsenseError, Evidence, ImpossibleEvidenceError, QueryRef,
                      one_output_all_params_m2, propagate_full, retract_finding)
 from bnsense.network import enumerate_parameters
 from bnsense.oracle import (brute_evidence_probability, brute_query, fit_linear_sf,
-                            fit_multilinear, random_independent_parameters,
-                            random_network)
+                            fit_multilinear, random_network)
 from tests.conftest import possible_evidence
+from tests.oracle_helpers import random_independent_parameters
 
 P_BY = 0.42
 P_CY = 0.352

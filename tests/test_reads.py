@@ -151,10 +151,9 @@ class TestSepsetPotential:
         assert_allclose(tree.sepset_potential(0).table, [1.0, 1.0])
         propagate_full(tree)
         inward = tree.messages.pop((1, 0))
-        assert_allclose(tree.sepset_potential(0).table, tree.messages[(0, 1)].table)
+        assert_allclose(tree.sepset_potential(0).table, tree.messages[(0, 1)])
         tree.messages[(1, 0)] = inward
-        assert_allclose(tree.sepset_potential(0).table,
-                        tree.messages[(0, 1)].table * inward.table)
+        assert_allclose(tree.sepset_potential(0).table, tree.messages[(0, 1)] * inward)
         assert_allclose(tree.sepset_potential(0).table, [0.2 * 0.9 + 0.8 * 0.3,
                                                          0.2 * 0.1 + 0.8 * 0.7])
 
@@ -171,6 +170,8 @@ def test_attached_findings_match_a_sorted_scan():
             scan = [(v, vec) for v, vec in sorted(tree.findings.items())
                     if tree.family_clique[v] == c.id]
             scan += sorted(tree.injected.get(c.id, {}).items())
-            got = tree.attached_findings(c.id)
-            assert [v for v, _ in got] == [v for v, _ in scan]
-            assert all(a is b for (_, a), (_, b) in zip(got, scan))
+            # the finding operands follow the clique's CPTs
+            operands, _ = tree.operands(c.id, ())
+            got = operands[len(c.families):len(c.families) + len(scan)]
+            assert [axes for _, axes in got] == [[c.members.index(v)] for v, _ in scan]
+            assert all(a is b for (a, _), (_, b) in zip(got, scan))

@@ -26,7 +26,8 @@ from bnsense import (BnsenseError, Evidence, Network, NetworkFormatError, QueryR
 from bnsense import cli
 from bnsense.cli import main
 from bnsense.oracle import (brute_evidence_probability, brute_query, fit_linear_sf,
-                            fit_multilinear, random_independent_parameters, random_network)
+                            fit_multilinear, random_network)
+from tests.oracle_helpers import random_independent_parameters
 
 R2 = "tests/fixtures/r2.json"
 CORPUS_SIZE = 30

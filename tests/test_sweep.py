@@ -10,13 +10,14 @@ the enumeration oracle.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from bnsense import Evidence, all_outputs_one_param, build_junction_tree, load_network
 from bnsense import oneway
 from bnsense.functions import LinearCoeffs
 from bnsense.network import enumerate_parameters
 from bnsense.oracle import fit_linear_sf, random_network
+from bnsense.propagation import propagate_full
 from tests.conftest import possible_evidence
 from tests.test_acceptance import ONEWAY_TOLERANCE
 from tests.test_directed import BRANCH
@@ -195,3 +196,22 @@ class TestCorpus:
             assert ({v: [sf.coefficients() for sf in fs] for v, fs in sweep.functions.items()}
                     == {v: [sf.coefficients() for sf in fs] for v, fs in full.functions.items()})
             cases += 1
+
+
+def test_stacked_marginals_equal_one_read_per_variable():
+    """`oneway._marginals` stacks the reads of alike sepset holders; each
+    variable's marginal is still what `JunctionTree.joint` reads, bit for bit."""
+    rng = np.random.default_rng(154)
+    summed = 0
+    for _ in range(20):
+        net = random_network(rng, n_vars=int(rng.integers(6, 12)),
+                             connected=bool(rng.integers(2)))
+        tree = build_junction_tree(net)
+        propagate_full(tree, possible_evidence(rng, net))
+        variables = range(net.n_variables)
+        want = np.concatenate([tree.joint((var,)).table for var in variables])
+        assert_array_equal(oneway._marginals(tree, variables), want)
+        holders = [tree.holder((var,)) for var in variables]
+        summed += sum(len(tree.sepsets[idx].members) > 1
+                      for is_clique, idx in holders if not is_clique)
+    assert summed > 0   # reads that sum a sepset's other axes out

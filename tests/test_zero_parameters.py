@@ -23,9 +23,9 @@ from bnsense import (Evidence, QueryRef, all_outputs_one_param, build_junction_t
                      relevant_parameters, same_clique_nway)
 from bnsense.cli import main
 from bnsense.network import enumerate_parameters, network_from_dict
-from bnsense.oracle import (fit_linear_sf, fit_multilinear, random_independent_parameters,
-                            random_network)
+from bnsense.oracle import fit_linear_sf, fit_multilinear, random_network
 from tests.conftest import possible_evidence
+from tests.oracle_helpers import random_independent_parameters
 from tests.test_acceptance import FIXTURE_TOLERANCE, NWAY_TOLERANCE, ONEWAY_TOLERANCE
 
 ZERO_CORPUS_SIZE = 60
