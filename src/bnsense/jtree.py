@@ -11,25 +11,27 @@ tie-break is fixed so that identical networks always produce identical
 trees.
 
 Each step does near-linear work on a sparse network.  Triangulation keeps
-the fill scores in a heap and rescores only the vertices an elimination
-touches; the clique tree costs one step per edge of the triangulated graph;
-a variable-to-cliques index places each family and answers
-`clique_containing`.
+the fill scores in a heap and updates only the vertices an elimination
+touches, at the cost of the edges that changed; the clique tree costs one
+step per edge of the triangulated graph; a variable-to-cliques index places
+each family and answers `clique_containing`.
 
-The tree also owns the mutable propagation state: cached CPT factors, the
-finding vectors, and the two directed messages per sepset, each a plain
-array.  A clique is never stored as a dense table but as a factor list (its
-CPTs, attached findings and incoming messages), as in Madsen & Jensen's lazy
-propagation (AIJ 1999).  Its contraction plan, built on first use, holds the
-member axes, each assigned CPT's table, axes and covered-axes bitmask, the
-family finding slots and each neighbor's sepset axes.  `send` lays a
-message's einsum operands out from the plan; a read (`local_product`) does
-the same and returns a `Potential`: a marginal, or, with a variable's own
-CPT left out, the derivative of p(e) in each entry of that CPT, which the
-one-way lines are read from.  Finding vectors stay separate factors, which
-makes retracting one cheap; a co-varied CPT row changes only its family
-clique's factors, so an extra n-way propagation re-sends only the messages
-directed away from it.
+The tree also owns the mutable propagation state: the finding vectors and
+the two directed messages per sepset, each a plain array.  A clique is never
+stored as a dense table but as a factor list (its CPTs, attached findings
+and incoming messages), as in Madsen & Jensen's lazy propagation (AIJ 1999).
+Its contraction plan, built on first use, holds the member axes, a view of
+each assigned CPT over its sorted family with its axes and covered-axes
+bitmask, the family finding slots and each neighbor's sepset axes.  `send`
+lays a message's einsum operands out from the plan; `send_outward` sends a
+clique's children in an outward pass, those of a large clique with small
+sepsets from one shared contraction onto the union of their sepsets.  A read
+(`local_product`) lays its operands out the same way and returns a
+`Potential`: a marginal, or, with a variable's own CPT left out, the
+derivative of p(e) in each entry of that CPT, which the one-way lines are
+read from.  Finding vectors stay separate factors, which makes retracting
+one cheap; a co-varied CPT row changes only its family clique's factors, so
+an extra n-way propagation re-sends only the messages directed away from it.
 
 After a full propagation every sepset and every clique holds
 p(members, e), so `JunctionTree.joint` reads p(vars, e) from the cheapest
@@ -48,6 +50,7 @@ that was never sent or is stale.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -62,7 +65,7 @@ except ImportError:     # numpy 1.x
 
 from .errors import BnsenseError, NetworkFormatError
 from .network import Network, ParameterRef, apply_parameter
-from .potentials import Potential
+from .potentials import Potential, family_table
 
 
 # Cliques with more table entries than this are contracted along a greedy
@@ -79,6 +82,11 @@ PLAN_ABOVE_ENTRIES = 4096
 # factors that share a scope; if that still leaves too many, it takes the
 # planned path whatever its size, since that contracts two operands at a time.
 UNPLANNED_MAX_FACTORS = 30
+
+# In an outward pass, the children of a clique above PLAN_ABOVE_ENTRIES whose
+# sepsets have at most 1/SHARED_SEPSET_RATIO of its entries share one
+# contraction of its factors (`send_outward`) when there are two or more.
+SHARED_SEPSET_RATIO = 20
 
 
 @dataclass(frozen=True)
@@ -138,18 +146,24 @@ def triangulate(adj: dict[int, set[int]],
     plain min-fill's.  Ties go to the lowest variable id, making the order
     (and everything downstream) deterministic.
 
-    Scores sit in a heap of (score, id) entries, invalidated lazily.
-    Eliminating v changes the score of v's neighbours (they lose v and gain
-    fill edges) and of every vertex adjacent to both ends of a fill edge
-    (that pair is no longer missing); only those are rescored, so a sparse
-    graph costs near-linear time.
+    Scores sit in a heap of (score, id) entries, invalidated lazily.  Each
+    vertex's score is kept up to date along with the arity sum of its
+    neighbours: eliminating v changes each neighbour a's by the pairs {v, b}
+    it loses, which are missing unless b is in N(a) ∩ N(v); a fill edge
+    {a, b} adds the pairs of b (of a) with a's (b's) other neighbours to the
+    score of a (of b), less those adjacent to both, and takes the pair {a, b}
+    off the score of each of their common neighbours.  Only those vertices
+    are rescored, each at the cost of the edges that changed, so a sparse
+    graph, and a star whatever its degree, costs near-linear time.
     """
     work = {v: set(ns) for v, ns in adj.items()}
-    score = {v: _fill_weight(work, arities, v) for v in work}
+    arity = arities.__getitem__
+    total = {v: sum(map(arity, ns)) for v, ns in work.items()}
+    score = {v: sum(arity(a) * (total[v] - arity(a) - sum(map(arity, work[a] & ns)))
+                    for a in ns) // 2 for v, ns in work.items()}
     heap = [(weight, v) for v, weight in score.items()]
     heapq.heapify(heap)
-    order: list[int] = []
-    fills: set[frozenset[int]] = set()
+    order, fills = [], set()
     while heap:
         weight, v = heapq.heappop(heap)
         if v not in work or score[v] != weight:
@@ -158,32 +172,25 @@ def triangulate(adj: dict[int, set[int]],
         touched = set(ns)
         for a in ns:
             work[a].discard(v)
+            total[a] -= arity(v)
+            score[a] -= arity(v) * (total[a] - sum(map(arity, work[a] & touched)))
         for i, a in enumerate(ns):
             for b in ns[i + 1:]:
                 if b not in work[a]:
-                    touched |= work[a] & work[b]
-                    work[a].add(b)
-                    work[b].add(a)
+                    common = work[a] & work[b]
+                    shared = sum(map(arity, common))
+                    for x, y in ((a, b), (b, a)):
+                        score[x] += arity(y) * (total[x] - shared)
+                        total[x] += arity(y)
+                        work[x].add(y)
+                    for c in common:
+                        score[c] -= arity(a) * arity(b)
+                    touched |= common
                     fills.add(frozenset((a, b)))
         for u in touched:
-            weight = _fill_weight(work, arities, u)
-            if weight != score[u]:
-                score[u] = weight
-                heapq.heappush(heap, (weight, u))
+            heapq.heappush(heap, (score[u], u))
         order.append(v)
     return tuple(order), fills
-
-
-def _fill_weight(work: dict[int, set[int]], arities: Sequence[int], v: int) -> int:
-    """Sum of arities[a] * arities[b] over the non-adjacent pairs {a, b} of v's neighbours."""
-    ns = work[v]
-    arity = arities.__getitem__
-    total = sum(map(arity, ns))
-    weight = 0
-    for a in ns:
-        k = arity(a)
-        weight += k * (total - k - sum(map(arity, work[a] & ns)))
-    return weight // 2
 
 
 def _clique_tree(adj: dict[int, set[int]], order: tuple[int, ...],
@@ -299,11 +306,11 @@ class JunctionTree:
                         enumerate(zip(members, families))]
 
         self._sizes = [math.prod(net.arity(v) for v in mem) for mem in members]
+        self._sepset_sizes = [math.prod(net.arity(v) for v in s.members) for s in sepsets]
         self._plans: list[tuple | None] = [None] * len(members)   # built by `_plan` on first use
         self._every = frozenset(range(len(members)))
         self._sepset_index: tuple | None = None   # built by the first `joint`
         self._holders: dict[tuple[int, ...], tuple[bool, int]] = {}
-        self._cpt_factors: dict[int, Potential] = {}
         self.findings: dict[int, np.ndarray] = {}
         self.injected: dict[int, dict[int, np.ndarray]] = {}
         self.messages: dict[tuple[int, int], np.ndarray] = {}
@@ -331,12 +338,10 @@ class JunctionTree:
         if found is None:
             if self._sepset_index is None:
                 members = [s.members for s in self.sepsets]
-                self._sepset_index = (
-                    _cliques_by_variable(self.net.n_variables, members),
-                    [frozenset(mem) for mem in members],
-                    [math.prod(self.net.arity(v) for v in mem) for mem in members])
-            index, member_sets, sizes = self._sepset_index
-            candidates = [(sizes[s], False, s) for s in _all_holding(index, member_sets, vars)]
+                self._sepset_index = (_cliques_by_variable(self.net.n_variables, members),
+                                      [frozenset(mem) for mem in members])
+            candidates = [(self._sepset_sizes[s], False, s)
+                          for s in _all_holding(*self._sepset_index, vars)]
             candidates.extend((self._sizes[c], True, c)
                               for c in _all_holding(self._holding, self._member_sets, vars))
             if not candidates:
@@ -357,26 +362,17 @@ class JunctionTree:
             pot = pot.multiply(Potential.from_cpt(self.net, v))
         return pot
 
-    def cpt_factor(self, var: int) -> Potential:
-        """The variable's CPT over its sorted family, cached until set_parameter."""
-        factor = self._cpt_factors.get(var)
-        if factor is None:
-            factor = self._cpt_factors[var] = Potential.from_cpt(self.net, var)
-        return factor
-
     def set_parameter(self, ref: ParameterRef, x: float) -> None:
         """Co-vary one CPT row in place (`restore_network` of the co-varied network)."""
         self.restore_network(apply_parameter(self.net, ref, x))
 
     def restore_network(self, net: Network) -> None:
         """Swap in a network of the same structure, such as the one before
-        `set_parameter` calls; drops the cached CPT factor of each changed
-        table and the plan of its family clique, which holds it."""
+        `set_parameter` calls; drops the plan of each changed table's family
+        clique, which holds a view of the old table."""
         for v, table in enumerate(net.cpts):
-            if table is not self.net.cpts[v]:
-                self._cpt_factors.pop(v, None)
-                if v in self.family_clique:
-                    self._plans[self.family_clique[v]] = None
+            if table is not self.net.cpts[v] and v in self.family_clique:
+                self._plans[self.family_clique[v]] = None
         self.net = net
         self.invalidate()
 
@@ -403,15 +399,15 @@ class JunctionTree:
         families = self.cliques[cid].families
         plan = self._plans[cid] = (
             axis, (1 << len(axis)) - 1,
-            [(v, self.cpt_factor(v).table, *axes(self.net.family(v))) for v in families],
+            [(v, family_table(self.net, v), *axes(self.net.family(v))) for v in families],
             [(v, [axis[v]], 1 << axis[v]) for v in families],
             {nb: axes(self.sepsets[s].members) for nb, s in self.neighbors[cid]})
         return plan
 
-    def _factors(self, cid: int, without: int | None, omit: int | None):
+    def _factors(self, cid: int, without, omit: int | None):
         """The clique's factors as (table, member axes) einsum operands: its
-        CPTs but `omit`'s, its findings, the messages from every neighbor but
-        `without`, and ones for each member none covers.  Past
+        CPTs but `omit`'s, its findings, the messages from every neighbor not
+        in `without`, and ones for each member none covers.  Past
         UNPLANNED_MAX_FACTORS the factors sharing a scope are multiplied first."""
         axis, every, cpts, slots, seps = self._plans[cid] or self._plan(cid)
         operands, covered = [], 0
@@ -427,7 +423,7 @@ class JunctionTree:
             operands.append((vec, [axis[v]]))
             covered |= 1 << axis[v]
         for nb in seps:
-            if nb != without and (nb, cid) in self.messages:
+            if nb not in without and (nb, cid) in self.messages:
                 axes, mask = seps[nb]
                 operands.append((self.messages[(nb, cid)], axes))
                 covered |= mask
@@ -443,16 +439,54 @@ class JunctionTree:
         """The einsum operands (`_factors`) and the output axes that sum the
         clique's factors onto the sorted `keep`."""
         axis = (self._plans[cid] or self._plan(cid))[0]
-        return self._factors(cid, without, omit), [axis[v] for v in keep]
+        return self._factors(cid, (without,), omit), [axis[v] for v in keep]
 
     def send(self, src: int, dst: int) -> None:
         """Sum the factors of clique `src` but `dst`'s message onto their
         sepset, as the plain-array message to `dst`; counted in `stats`."""
-        plan = self._plans[src] or self._plan(src)
-        self.messages[(src, dst)] = self.contract(src, self._factors(src, dst, None),
-                                                  plan[4][dst][0])
+        # `_factors` builds the plan, if need be, before the sepset axes are read from it
+        self.messages[(src, dst)] = self.contract(src, self._factors(src, (dst,), None),
+                                                  self._plans[src][4][dst][0])
         self.stats.messages_passed += 1
         self.stats.entries_touched += self._sizes[src]
+
+    def send_outward(self, dsts: list[int], parent: dict[int, int | None]) -> None:
+        """Send each clique of `dsts`, in BFS order, the message from its
+        `parent`, as `send` does.
+
+        On a clique above PLAN_ABOVE_ENTRIES, two or more children whose
+        sepsets have at most 1/SHARED_SEPSET_RATIO of its entries (the first
+        UNPLANNED_MAX_FACTORS of them, so that each message is one unplanned
+        einsum call) share one contraction, as in Shenoy's binary join trees
+        (IJAR 1997): the clique's factors but those children's messages,
+        with ones for any member only those messages covered, are summed
+        once onto U, the union of their sepsets.  Each of them then gets U's
+        table times the other shared children's messages, summed onto its
+        sepset by numpy's pairwise summation.  No division is needed, and
+        every message is counted in `stats` as sent from the whole clique.
+        """
+        run = None      # the large clique whose children, which come in one run, are being sent
+        for dst in dsts:
+            src = parent[dst]
+            size = self._sizes[src]
+            if size > PLAN_ABOVE_ENTRIES and src != run:
+                run, shared = src, [nb for nb, s in self.neighbors[src] if parent[nb] == src
+                                    and nb in dsts and SHARED_SEPSET_RATIO
+                                    * self._sepset_sizes[s] <= size][:UNPLANNED_MAX_FACTORS]
+                if len(shared) > 1:
+                    seps = (self._plans[src] or self._plan(src))[4]
+                    union = sorted({i for nb in shared for i in seps[nb][0]})
+                    table = self.contract(src, self._factors(src, shared, None), union)
+            if size <= PLAN_ABOVE_ENTRIES or len(shared) < 2 or dst not in shared:
+                self.send(src, dst)
+                continue
+            axes = seps[dst][0]
+            others = [arg for nb in shared if nb != dst and (nb, src) in self.messages
+                      for arg in (self.messages[(nb, src)], seps[nb][0])]
+            product = c_einsum(table, union, *others, axes + [i for i in union if i not in axes])
+            self.messages[(src, dst)] = product.reshape(*product.shape[:len(axes)], -1).sum(-1)
+            self.stats.messages_passed += 1
+            self.stats.entries_touched += size
 
     def planned(self, cid: int, operands) -> bool:
         """Whether `contract` takes these operands of the clique along a
@@ -463,10 +497,9 @@ class JunctionTree:
         """One einsum of the clique's `operands` onto the axes `out`; a leading
         axis of stacked operands may be added to both.  Unplanned unless
         `planned`."""
-        args = [arg for operand in operands for arg in operand]
         if self.planned(cid, operands):
-            return np.einsum(*args, out, optimize="greedy")
-        return c_einsum(*args, out)
+            return np.einsum(*itertools.chain.from_iterable(operands), out, optimize="greedy")
+        return c_einsum(*itertools.chain.from_iterable(operands), out)
 
     def local_product(self, cid: int, keep: tuple[int, ...] | None = None, *,
                       without: int | None = None, omit: int | None = None) -> Potential:
@@ -550,7 +583,7 @@ class JunctionTree:
     # -- maintenance -----------------------------------------------------------
 
     def reset(self) -> None:
-        """Back to the freshly built state (CPT factors kept, counters kept)."""
+        """Back to the freshly built state (plans kept, counters kept)."""
         self.findings.clear()
         self.injected.clear()
         self.messages.clear()

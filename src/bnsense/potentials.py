@@ -13,6 +13,13 @@ from .errors import InconsistentPotentialError
 from .network import Network
 
 
+def family_table(net: Network, var: int) -> np.ndarray:
+    """A view of the variable's CPT with one axis per family member, in sorted id order."""
+    listed = net.parents[var] + (var,)
+    table = np.asarray(net.cpts[var], dtype=float).reshape([net.arity(v) for v in listed])
+    return table.transpose(sorted(range(len(listed)), key=listed.__getitem__))
+
+
 class Potential:
     __slots__ = ("vars", "table")
 
@@ -31,11 +38,7 @@ class Potential:
     @classmethod
     def from_cpt(cls, net: Network, var: int) -> "Potential":
         """The CPT of a variable as a potential over its (sorted) family."""
-        listed = net.parents[var] + (var,)
-        shape = tuple(net.arity(v) for v in listed)
-        table = np.asarray(net.cpts[var], dtype=float).reshape(shape)
-        order = tuple(sorted(range(len(listed)), key=lambda i: listed[i]))
-        return cls(tuple(listed[i] for i in order), table.transpose(order))
+        return cls(net.family(var), family_table(net, var))
 
     def copy(self) -> "Potential":
         return Potential(self.vars, self.table.copy())

@@ -23,6 +23,13 @@ evidence set.  The same replay covers a change at several cliques, such as
 co-varied CPT rows: only the messages directed away from a changed clique
 are sent again (`replay`).
 
+An outward pass sends each clique's children together
+(`JunctionTree.send_outward`): on a clique above `PLAN_ABOVE_ENTRIES`, the
+children with small sepsets share one contraction of the clique's other
+factors onto the union of their sepsets, and each of their messages is read
+off that table and the other shared messages, with no division (Shenoy,
+IJAR 1997).
+
 Given the cliques an analysis reads (`reads`), an outward pass sends only
 the messages on the paths from its root to them, skipping messages nobody
 consumes (Madsen & Jensen, AIJ 1999); it still counts as one outward
@@ -66,31 +73,22 @@ def enter_finding(tree: JunctionTree, var: int, vector) -> None:
     tree.invalidate()
 
 
-def _bfs(tree: JunctionTree, root: int):
-    """BFS order of the tree from the root plus each clique's parent."""
-    order = [root]
-    parent: dict[int, int] = {}
-    seen = {root}
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        i += 1
-        for nb, _ in tree.neighbors[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                parent[nb] = cur
+def _bfs(tree: JunctionTree, root: int, reads: set[int] | None = None):
+    """BFS order of the tree from the root, each clique's parent (None at the
+    root), and the region of a pass directed at `reads`: the root and every
+    clique on its paths to them, or None when `reads` is None."""
+    order, parent = [root], {root: None}
+    for cid in order:           # visits the cliques appended along the way
+        for nb, _ in tree.neighbors[cid]:
+            if nb not in parent:
+                parent[nb] = cid
                 order.append(nb)
-    return order, parent
-
-
-def _region(parent: dict[int, int], root: int, reads: set[int]) -> frozenset[int]:
-    """The root and every clique on its paths to the `reads` cliques."""
     region = {root}
-    for cid in reads:
+    for cid in reads or ():
         while cid not in region:
             region.add(cid)
             cid = parent[cid]
-    return frozenset(region)
+    return order, parent, None if reads is None else frozenset(region)
 
 
 def _require_root(tree: JunctionTree, root: int) -> None:
@@ -118,8 +116,7 @@ def collect(tree: JunctionTree, root: int = 0, reads: set[int] | None = None) ->
     Given `reads`, only the messages on the paths from those cliques to the
     root are sent.  Leaves only the root current.
     """
-    order, parent = _bfs(tree, root)
-    region = None if reads is None else _region(parent, root, reads)
+    order, parent, region = _bfs(tree, root, reads)
     for cid in reversed(order[1:]):
         if region is None or cid in region:
             tree.send(cid, parent[cid])
@@ -140,11 +137,8 @@ def distribute(tree: JunctionTree, root: int = 0, reads: set[int] | None = None)
     cliques are sent, and only those paths are left current.
     """
     _require_root(tree, root)
-    order, parent = _bfs(tree, root)
-    region = None if reads is None else _region(parent, root, reads)
-    for cid in order[1:]:
-        if region is None or cid in region:
-            tree.send(parent[cid], cid)
+    order, parent, region = _bfs(tree, root, reads)
+    tree.send_outward([cid for cid in order[1:] if region is None or cid in region], parent)
     tree.evidence_mass = float(tree.contract(root, *tree.operands(root, ())))
     tree.stats.outward_propagations += 1
     tree.left_current(root, region)

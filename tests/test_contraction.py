@@ -121,7 +121,10 @@ def test_set_parameter_refreshes_cached_factor(r2):
     before = tree.local_product(0).table.copy()
     ref = r2.parameter(1, 0, (0,))
     tree.set_parameter(ref, 0.5)
-    assert_allclose(tree.cpt_factor(1).table, Potential.from_cpt(tree.net, 1).table)
+    cid = tree.family_clique[1]
+    tree.operands(cid, ())  # rebuilds the plan dropped by set_parameter
+    plan_table = next(table for v, table, *_ in tree._plans[cid][2] if v == 1)
+    assert_allclose(plan_table, Potential.from_cpt(tree.net, 1).table)
     assert_allclose(tree.local_product(0).table, dense_product(tree, 0).table, rtol=1e-12)
     assert not np.allclose(tree.local_product(0).table, before)
 

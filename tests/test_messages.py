@@ -69,7 +69,7 @@ def test_the_star_hub_takes_more_factors_than_one_unplanned_einsum():
 def test_a_pass_builds_no_potential(net, monkeypatch):
     tree = build_junction_tree(net)
     ev = findings(net)
-    propagate_full(tree, ev)    # builds the plans and caches the CPT factors
+    propagate_full(tree, ev)    # builds the plans
     counts = {"potentials": 0, "local_products": 0}
     init, local_product = Potential.__init__, JunctionTree.local_product
 
