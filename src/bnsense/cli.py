@@ -19,6 +19,13 @@ smaller tree.  `sens-param` reports the posterior of every variable, so it
 compiles the whole network, as `stats` and `dump-jtree` do.  `check` runs its
 engine on the requisite variables and its oracle on the whole network.
 
+`sens-out` reads the lines of every CPT entry of the relevant variables as
+arrays (`oneway.one_output_lines`) and builds no `ParameterRef` per row.
+`sens-out` and `sens-param` share one row formatter (`_report`): a row's six
+numbers are one `%` format, and its label cells are CSV text, quoted as
+`csv.writer` quotes them and built once per (variable, parent
+configuration).
+
 Exit codes: 0 success, 1 usage, 2 invalid network file, 3 impossible
 evidence, 4 analysis error (degenerate or dependent parameters,
 rank deficiency, `check --net` past the oracle's enumeration limit),
@@ -28,9 +35,8 @@ rank deficiency, `check --net` past the oracle's enumeration limit),
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
+import itertools
 import json
 import os
 import re
@@ -42,11 +48,11 @@ import numpy as np
 from .errors import BnsenseError, ImpossibleEvidenceError, NetworkFormatError
 from .functions import at_point
 from .jtree import build_junction_tree
-from .network import (Evidence, Network, ParameterRef, QueryRef, format_parameter,
-                      format_parent_config, load_network)
+from .network import Evidence, Network, ParameterRef, QueryRef, format_parameter, load_network
 from .nway import general_nway, same_clique_nway
-from .oneway import (all_outputs_one_param, one_output_all_params_m1,
-                     one_output_all_params_m2, relevant_parameters)
+from .oneway import (VALUE_ONE, all_outputs_one_param, entry_parameter,
+                     one_output_all_params_m1, one_output_lines, relevant_parameters,
+                     relevant_variables)
 from .oracle import (MAX_STATE_BITS, brute_evidence_probability, fit_linear_sf,
                      random_evidence, random_network)
 from .propagation import infer_marginal, propagate_full
@@ -278,32 +284,40 @@ def _print_stats(args, counts: tuple[int, int, int]) -> None:
         print(_stats_line(counts), file=sys.stderr)
 
 
-def _columns(coefficients: np.ndarray, x0: np.ndarray) -> list[list[str]]:
-    """Per row of (alpha, beta, gamma, delta) coefficients: the four, then
-    the function's value and derivative at x0 (`at_point`), formatted."""
-    values = np.column_stack([coefficients, *at_point(coefficients, x0)])
-    return [[REAL % c for c in row] for row in values.tolist()]
+# the characters that make csv.writer (QUOTE_MINIMAL, "\n" line ends) quote a
+# cell in a row of several cells; tests hold `_quoted` to csv.writer
+_CSV_SPECIAL = re.compile('[,"\n]')
 
 
-def _labels(net: Network, refs: list[ParameterRef]) -> list[list[str]]:
-    """The parameter, variable, state and parent_config columns, built once
-    per (variable, parent configuration)."""
-    rows, built = [], {}
-    for ref in refs:
-        key = (ref.variable, ref.parent_config)
-        if key not in built:
-            var, config = net.variables[ref.variable], format_parent_config(net, ref)
-            built[key] = (f"{var.name}|{config}:" if config else f"{var.name}:"), var, config
-        head, var, config = built[key]
-        state = var.states[ref.state]
-        rows.append([head + state, var.name, state, config])
-    return rows
+def _quoted(cell: str) -> str:
+    """The cell as `csv.writer` writes it in a row of several cells."""
+    return '"%s"' % cell.replace('"', '""') if _CSV_SPECIAL.search(cell) else cell
 
 
-def _csv(rows: list[list[str]]) -> str:
-    sink = io.StringIO()
-    csv.writer(sink, lineterminator="\n").writerows(rows)
-    return sink.getvalue()
+def _report(header: list[str], labels, coefficients: np.ndarray, x0) -> str:
+    """A CSV report: the header, then per row of (alpha, beta, gamma, delta)
+    coefficients its label cells (CSV text), the four, and the function's
+    value and derivative at x0 (one, or one per row; `at_point`), each REAL."""
+    values = np.column_stack([coefficients, *at_point(coefficients, x0)]).tolist()
+    row = "%s," + ",".join([REAL] * 6) + "\n"
+    return ",".join(header) + "\n" + "".join([row % (label, *cells)
+                                               for label, cells in zip(labels, values)])
+
+
+def _parameter_labels(net: Network, variables) -> list[str]:
+    """The parameter, variable, state and parent_config cells of every CPT
+    entry of the variables, in CPT order, as CSV text: built once per
+    (variable, parent configuration)."""
+    labels: list[str] = []
+    for var in variables:
+        name, states = net.variables[var].name, net.variables[var].states
+        cells = [f",{_quoted(name)},{_quoted(state)}," for state in states]
+        pairs = ([f"{net.variables[p].name}={s}" for s in net.variables[p].states]
+                 for p in net.parents[var])
+        for config in map(";".join, itertools.product(*pairs)):
+            head, tail = (f"{name}|{config}:" if config else f"{name}:"), _quoted(config)
+            labels += [_quoted(head + state) + cell + tail for state, cell in zip(states, cells)]
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -337,27 +351,27 @@ def _run_sens_out(args) -> int:
     if state is None:
         raise _UsageError("sens-out needs a single output state, e.g. --target A=yes")
     query = QueryRef(var, state)
-    params = relevant_parameters(net, query, evidence)
+    variables = relevant_variables(net, query, evidence)
 
     tree = build_junction_tree(net, {var, *evidence.variables()})
-    if args.method == "2":
-        analysis = one_output_all_params_m2(tree, query, evidence, params)
-    else:
-        analysis = one_output_all_params_m1(tree, query, evidence, params)
+    coefficients, x0 = one_output_lines(tree, query, evidence, variables,
+                                        two_point=args.method == "2")
     counts = tree.stats.snapshot()
+    kept = x0 < 1.0
     if args.method == "both":   # m2 resets the tree; --stats reports m1's passes
-        other = one_output_all_params_m2(tree, query, evidence, params)
-        gaps = np.abs(analysis.coefficients - other.coefficients).max(axis=1)
+        other, _ = one_output_lines(tree, query, evidence, variables, two_point=True)
+        gaps = np.abs(coefficients[kept] - other[kept]).max(axis=1)
         bad = np.flatnonzero(gaps > CROSS_CHECK_TOLERANCE)
         if bad.size:
-            raise BnsenseError(
-                f"methods disagree on {format_parameter(net, analysis.refs[bad[0]])}: "
-                f"max coefficient gap {float(gaps[bad[0]]):.3e}")
-    for ref, reason in analysis.skipped:
-        print(f"skipped {format_parameter(net, ref)}: {reason}", file=sys.stderr)
+            ref = entry_parameter(net, variables, int(np.flatnonzero(kept)[bad[0]]))
+            raise BnsenseError(f"methods disagree on {format_parameter(net, ref)}: "
+                               f"max coefficient gap {float(gaps[bad[0]]):.3e}")
+    for flat in np.flatnonzero(~kept).tolist():
+        ref = entry_parameter(net, variables, flat)
+        print(f"skipped {format_parameter(net, ref)}: {VALUE_ONE}", file=sys.stderr)
 
-    rows = zip(_labels(net, analysis.refs), _columns(analysis.coefficients, analysis.x0))
-    _emit(_csv([SENS_OUT_HEADER, *(head + cols for head, cols in rows)]), args.out)
+    labels = itertools.compress(_parameter_labels(net, variables), kept.tolist())
+    _emit(_report(SENS_OUT_HEADER, labels, coefficients[kept], x0[kept]), args.out)
     _print_stats(args, counts)
     return EXIT_OK
 
@@ -375,10 +389,10 @@ def _run_sens_param(args) -> int:
     ref = refs[0]
     tree = build_junction_tree(net)
     analysis = all_outputs_one_param(tree, ref, evidence)
-    labels = [[var.name, state] for var in net.variables for state in var.states]
-    rows = zip(labels, _columns(analysis.coefficients,
-                                np.full(len(labels), net.parameter_value(ref))))
-    _emit(_csv([SENS_PARAM_HEADER, *(head + cols for head, cols in rows)]), args.out)
+    labels = [f"{_quoted(var.name)},{_quoted(state)}"
+              for var in net.variables for state in var.states]
+    _emit(_report(SENS_PARAM_HEADER, labels, analysis.coefficients, net.parameter_value(ref)),
+          args.out)
     _print_stats(args, tree.stats.snapshot())
     return EXIT_OK
 

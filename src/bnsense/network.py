@@ -353,10 +353,12 @@ def _normalized(variables: list[Variable], stacks: dict[int, list],
     """Each cpt's table by variable, its rows divided by their own sums.
 
     The rows of each arity are checked and normalized as one stacked array,
-    whose read-only row blocks are the tables; the sums of a stack's rows are
-    those of each table's rows.  Raises `_row_error` for the first cpt, in
-    file order, with a row whose entries are not finite and nonnegative or
-    whose sum is more than ROW_SUM_TOLERANCE from 1.
+    whose row blocks are the tables; the sums of a stack's rows are those of
+    each table's rows.  The tables are sliced once the stack is read-only,
+    so they are read-only views that `Network` keeps without a copy.  Raises
+    `_row_error` for the first cpt, in file order, with a row whose entries
+    are not finite and nonnegative or whose sum is more than
+    ROW_SUM_TOLERANCE from 1.
     """
     blocks = {}
     for arity, rows in stacks.items():
@@ -369,16 +371,17 @@ def _normalized(variables: list[Variable], stacks: dict[int, list],
         # nonnegative entries with finite row sums are finite themselves
         blocks[arity] = block, totals, (block >= 0).all(axis=1) & (
             np.abs(totals - 1.0) <= ROW_SUM_TOLERANCE)
-    clean = all(good.all() for _, _, good in blocks.values())
-    tables: list[np.ndarray | None] = [None] * len(variables)
-    for var, rows in spans:
-        block, totals, good = blocks[variables[var].arity]
-        tables[var] = block[rows]
-        if not clean and not good[rows].all():
-            raise _row_error(variables[var].name, tables[var], totals[rows])
+    if not all(good.all() for _, _, good in blocks.values()):
+        for var, rows in spans:
+            block, totals, good = blocks[variables[var].arity]
+            if not good[rows].all():
+                raise _row_error(variables[var].name, block[rows], totals[rows])
     for block, totals, _ in blocks.values():
         block /= totals[:, None]
         block.setflags(write=False)
+    tables: list[np.ndarray | None] = [None] * len(variables)
+    for var, rows in spans:
+        tables[var] = blocks[variables[var].arity][0][rows]
     return tables
 
 

@@ -22,6 +22,13 @@ Both routes direct their outward passes at the family cliques of the
 parameters' variables (`read_cliques`), so a parameter that relevance
 screening drops costs no message.
 
+`one_output_lines` is the core of both routes: it propagates and returns the
+line pair of every CPT entry of the given variables as one (entries, 4)
+array, with the entries' values, in CPT order.  `one_output_all_params_m1`
+and `_m2` pick their parameters out of it; the CLI's `sens-out` reports
+from it directly, over the `relevant_variables`, and names a parameter
+(`entry_parameter`) only for an entry it skips or reports an error on.
+
 Every posterior's line pair in one parameter is fitted through two
 propagations, at the current value and at a second one, the second a
 directed replay (`all_outputs_one_param`).
@@ -45,9 +52,12 @@ from .network import Evidence, Network, ParameterRef, QueryRef, enumerate_parame
 from .propagation import (collect, distribute, enter_evidence, evidence_probability,
                           propagate_full, require_compiled, require_possible)
 
-__all__ = ["relevant_parameters", "read_cliques", "one_output_all_params_m1",
-           "one_output_all_params_m2", "all_outputs_one_param", "OneWayAnalysis",
-           "OneParamAnalysis", "evaluate", "derivative"]
+__all__ = ["relevant_variables", "relevant_parameters", "read_cliques", "one_output_lines",
+           "entry_parameter", "one_output_all_params_m1", "one_output_all_params_m2",
+           "all_outputs_one_param", "OneWayAnalysis", "OneParamAnalysis", "VALUE_ONE",
+           "evaluate", "derivative"]
+
+VALUE_ONE = "parameter value is 1; co-variation undefined"
 
 
 @dataclass
@@ -131,12 +141,17 @@ def _influenced_variables(net: Network, target: int, evidence_vars: set[int]) ->
     return relevant
 
 
+def relevant_variables(net: Network, query: QueryRef,
+                       evidence: Evidence | None = None) -> list[int]:
+    """Variables whose parameters may influence the query — a sound superset, by id."""
+    evidence_vars = set(evidence.variables()) if evidence is not None else set()
+    return sorted(_influenced_variables(net, query.variable, evidence_vars))
+
+
 def relevant_parameters(net: Network, query: QueryRef,
                         evidence: Evidence | None = None) -> list[ParameterRef]:
-    """Parameters that may influence the query — a sound superset, in CPT order."""
-    evidence_vars = set(evidence.variables()) if evidence is not None else set()
-    keep = _influenced_variables(net, query.variable, evidence_vars)
-    return enumerate_parameters(net, sorted(keep))
+    """Every CPT entry of the `relevant_variables`, in CPT order."""
+    return enumerate_parameters(net, relevant_variables(net, query, evidence))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +229,22 @@ def _offsets(net: Network, variables) -> tuple[dict[int, int], int]:
     return dict(zip(variables, itertools.accumulate(sizes, initial=0))), sum(sizes)
 
 
+def _values(net: Network, variables) -> np.ndarray:
+    """The CPT entries of the variables, laid out by `_offsets`."""
+    return np.concatenate([np.empty(0), *(net.cpts[var].ravel() for var in variables)])
+
+
+def entry_parameter(net: Network, variables, flat: int) -> ParameterRef:
+    """The parameter of row `flat` of `one_output_lines` over `variables`."""
+    for var in variables:
+        if flat < net.cpts[var].size:
+            break
+        flat -= net.cpts[var].size
+    row, state = divmod(flat, net.arity(var))
+    config = np.unravel_index(row, [net.arity(p) for p in net.parents[var]])
+    return net.parameter(var, state, tuple(map(int, config)))
+
+
 def _pick(net: Network, params: list[ParameterRef]):
     """Each parameter's flat index into `_family_lines` of the parameters'
     variables, taken with one index array, and its value; returns those of
@@ -222,18 +253,11 @@ def _pick(net: Network, params: list[ParameterRef]):
     offsets, _ = _offsets(net, _variables(params))
     index = np.array([offsets[ref.variable] + net.entry_index(ref) for ref in params],
                      dtype=np.intp)
-    x0 = np.concatenate([np.empty(0), *(net.cpts[var].ravel() for var in offsets)])[index]
+    x0 = _values(net, offsets)[index]
     below = x0 < 1.0
     keep = below.tolist()
     return (index[below], x0[below], list(itertools.compress(params, keep)),
-            [(ref, "parameter value is 1; co-variation undefined")
-             for ref, ok in zip(params, keep) if not ok])
-
-
-def _analysis(net: Network, query: QueryRef, params: list[ParameterRef],
-              num: np.ndarray, den: np.ndarray) -> OneWayAnalysis:
-    index, x0, refs, skipped = _pick(net, params)
-    return OneWayAnalysis(query, refs, np.concatenate([num, den])[:, index].T, x0, skipped)
+            [(ref, VALUE_ONE) for ref, ok in zip(params, keep) if not ok])
 
 
 def _variables(params: list[ParameterRef]) -> list[int]:
@@ -245,20 +269,53 @@ def _variables(params: list[ParameterRef]) -> list[int]:
 # one output, all parameters
 
 
-def _indicator(tree: JunctionTree, query: QueryRef) -> np.ndarray:
-    vec = np.zeros(tree.net.arity(query.variable))
-    vec[query.state] = 1.0
-    return vec
+def one_output_lines(tree: JunctionTree, query: QueryRef, evidence: Evidence | None,
+                     variables, two_point: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """One posterior's line pair in every CPT entry of `variables`: 1 inward
+    + 2 outward propagations, by local extraction or, with `two_point`, by
+    the two-point fit.
+
+    Returns the (entries, 4) coefficients, laid out as in `OneWayAnalysis`,
+    and the entries' values, both in CPT order, one variable after another
+    (`_offsets`).  An entry at value 1 cannot be co-varied (`VALUE_ONE`):
+    its row is not a line.
+    """
+    net = tree.net
+    require_compiled(tree, [query.variable, *variables])
+    home, reads = tree.var_clique[query.variable], read_cliques(tree, variables)
+    indicator = np.zeros(net.arity(query.variable))
+    indicator[query.state] = 1.0
+    if two_point:
+        enter_evidence(tree, evidence)
+        collect(tree, home)
+        tree.inject_finding(home, query.variable, indicator)
+        distribute(tree, home, reads)
+        target_mass = evidence_probability(tree)
+        num = _family_lines(tree, variables, two_point=True)
+
+        tree.inject_finding(home, query.variable, 1.0 - indicator)
+        distribute(tree, home, reads)
+        require_possible(target_mass + evidence_probability(tree))
+        den = num + _family_lines(tree, variables, two_point=True)
+    else:
+        propagate_full(tree, evidence, root=home, reads=reads)
+        den = _family_lines(tree, variables)
+
+        tree.inject_finding(home, query.variable, indicator)
+        distribute(tree, home, reads)
+        num = _family_lines(tree, variables)
+    return np.concatenate([num, den]).T, _values(net, variables)
 
 
-def _prepare(tree: JunctionTree, query: QueryRef, params: list[ParameterRef] | None):
-    """The parameters (by default every CPT entry), their variables, the
-    query's clique and the cliques their lines are read from."""
+def _analysis(tree: JunctionTree, query: QueryRef, evidence: Evidence | None,
+              params: list[ParameterRef] | None, two_point: bool) -> OneWayAnalysis:
+    """`one_output_lines` over the parameters' variables (by default every
+    CPT entry), picked out for the parameters (`_pick`)."""
     if params is None:
         params = enumerate_parameters(tree.net)
-    variables = _variables(params)
-    require_compiled(tree, [query.variable, *variables])
-    return params, variables, tree.var_clique[query.variable], read_cliques(tree, variables)
+    coefficients, _ = one_output_lines(tree, query, evidence, _variables(params), two_point)
+    index, x0, refs, skipped = _pick(tree.net, params)
+    return OneWayAnalysis(query, refs, coefficients[index], x0, skipped)
 
 
 def one_output_all_params_m1(tree: JunctionTree, query: QueryRef,
@@ -270,13 +327,7 @@ def one_output_all_params_m1(tree: JunctionTree, query: QueryRef,
     the query indicator at the query clique and replaying one outward pass
     yields every numerator line the same way.
     """
-    params, variables, home, reads = _prepare(tree, query, params)
-    propagate_full(tree, evidence, root=home, reads=reads)
-    den = _family_lines(tree, variables)
-
-    tree.inject_finding(home, query.variable, _indicator(tree, query))
-    distribute(tree, home, reads)
-    return _analysis(tree.net, query, params, _family_lines(tree, variables), den)
+    return _analysis(tree, query, evidence, params, two_point=False)
 
 
 def one_output_all_params_m2(tree: JunctionTree, query: QueryRef,
@@ -292,20 +343,7 @@ def one_output_all_params_m2(tree: JunctionTree, query: QueryRef,
     denominator lines are the sum over the two passes, and so is p(e), which
     must be positive.
     """
-    params, variables, home, reads = _prepare(tree, query, params)
-    enter_evidence(tree, evidence)
-    collect(tree, home)
-
-    tree.inject_finding(home, query.variable, _indicator(tree, query))
-    distribute(tree, home, reads)
-    target_mass = evidence_probability(tree)
-    num = _family_lines(tree, variables, two_point=True)
-
-    tree.inject_finding(home, query.variable, 1.0 - _indicator(tree, query))
-    distribute(tree, home, reads)
-    require_possible(target_mass + evidence_probability(tree))
-    rest = _family_lines(tree, variables, two_point=True)
-    return _analysis(tree.net, query, params, num, num + rest)
+    return _analysis(tree, query, evidence, params, two_point=True)
 
 
 def _line_through(x1, y1, x2, y2) -> LinearCoeffs:
@@ -361,7 +399,7 @@ def all_outputs_one_param(tree: JunctionTree, ref: ParameterRef,
     net = tree.net
     x1 = net.parameter_value(ref)
     if x1 >= 1.0:
-        raise DegenerateParameterError("parameter value is 1; co-variation undefined")
+        raise DegenerateParameterError(VALUE_ONE)
     targets = range(net.n_variables)
     require_compiled(tree, (ref.variable, *targets))
     x2 = float(_second_value(x1))

@@ -8,7 +8,7 @@ import pytest
 
 from bnsense import UndefinedPointError, cli
 from bnsense.functions import LinearCoeffs, SensitivityFunction, derivative, evaluate
-from bnsense.cli import SENS_OUT_HEADER, _csv, _parser, main
+from bnsense.cli import SENS_OUT_HEADER, _parser, _report, main
 
 R1 = "tests/fixtures/r1.json"
 R2 = "tests/fixtures/r2.json"
@@ -160,15 +160,16 @@ class TestSensOut:
 
 
     def test_methods_that_disagree_fail(self, capsys, monkeypatch):
-        m2 = cli.one_output_all_params_m2
+        lines = cli.one_output_lines
 
-        def skewed(*args):
-            analysis = m2(*args)
-            analysis.coefficients = analysis.coefficients.copy()
-            analysis.coefficients[2, 1] += 1e-6      # B|A=yes:yes, numerator intercept
-            return analysis
+        def skewed(*args, two_point=False):
+            coefficients, x0 = lines(*args, two_point=two_point)
+            if two_point:
+                coefficients = coefficients.copy()
+                coefficients[2, 1] += 1e-6       # B|A=yes:yes, numerator intercept
+            return coefficients, x0
 
-        monkeypatch.setattr(cli, "one_output_all_params_m2", skewed)
+        monkeypatch.setattr(cli, "one_output_lines", skewed)
         rc, out, err = run(capsys, *self.ARGS, "--method", "both")
         assert (rc, out) == (4, "")
         assert err == ("analysis error: methods disagree on B|A=yes:yes: "
@@ -198,8 +199,10 @@ class TestSensOut:
             den = c * x + d     # the quotient rule in Python floats
             assert (evaluate(sf, x), derivative(sf, x)) == ((a * x + b) / den,
                                                             (a * d - b * c) / (den * den))
-            want.append([cli.REAL % v for v in (a, b, c, d, evaluate(sf, x), derivative(sf, x))])
-        assert cli._columns(coefficients, x0) == want
+            want.append(",".join(cli.REAL % v
+                                 for v in (a, b, c, d, evaluate(sf, x), derivative(sf, x))))
+        report = _report(["h"], [f"row{i}" for i in range(50)], coefficients, x0)
+        assert report.splitlines() == ["h", *(f"row{i},{row}" for i, row in enumerate(want))]
 
     def test_columns_raise_at_a_nonpositive_denominator(self):
         coefficients = np.array([[0.1, 0.2, 0.5, 0.5], [0.1, 0.2, -1.0, 0.25], [0, 0, 0, -1.0]])
@@ -208,7 +211,7 @@ class TestSensOut:
         with pytest.raises(UndefinedPointError) as want:
             evaluate(sf, 0.25)
         with pytest.raises(UndefinedPointError) as got:
-            cli._columns(coefficients, x0)
+            _report(SENS_OUT_HEADER, ["a", "b", "c"], coefficients, x0)
         assert str(got.value) == str(want.value)
 
 
@@ -357,7 +360,7 @@ class TestReportSinks:
         assert first == second
 
     def test_empty_relevant_set_yields_header_only_csv(self):
-        assert _csv([SENS_OUT_HEADER]) == (
+        assert _report(SENS_OUT_HEADER, [], np.empty((0, 4)), np.empty(0)) == (
             "parameter,variable,state,parent_config,"
             "alpha,beta,gamma,delta,y_at_x0,dy_dx_at_x0\n")
 

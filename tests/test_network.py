@@ -164,6 +164,20 @@ class TestLoading:
         with pytest.raises(NetworkFormatError, match="'C', row 1: sum 1.1"):
             network_from_dict(doc(C=[[0.1, 0.2, 0.3, 0.4], [0.2, 0.2, 0.3, 0.4]]))
 
+    def test_loaded_tables_are_read_only_views_of_their_arity_block(self):
+        doc = {"variables": [{"name": f"V{i}", "states": ["a", "b"]} for i in range(4)]
+               + [{"name": "T", "states": ["x", "y", "z"]}],
+               "cpts": [{"variable": "V0", "parents": [], "rows": [[0.3, 0.7]]}]
+               + [{"variable": f"V{i}", "parents": [f"V{i - 1}"], "rows": [[0.4, 0.6], [0.9, 0.1]]}
+                  for i in range(1, 4)]
+               + [{"variable": "T", "parents": ["V3"], "rows": [[0.2, 0.3, 0.5]] * 2}]}
+        net = network_from_dict(doc)
+        for table in net.cpts:
+            assert not table.flags.writeable
+            assert table.base is not None        # a view, not a copy of its own
+        binary = [t for t in net.cpts if t.shape[1] == 2]
+        assert all(t.base is binary[0].base for t in binary[1:])
+
     def test_names_that_are_not_strings_are_unknown(self):
         cpts = [R1_DOC["cpts"][0], {"variable": "B", "parents": [["A"]], "rows": [[0.9, 0.1]]}]
         with pytest.raises(NetworkFormatError, match=r"'B': unknown parent \['A'\]"):
