@@ -16,8 +16,12 @@ the parameters' variables and their ancestors (`build_junction_tree(net,
 requisite)`).  Every other variable is barren, its CPT sums out to one, and
 leaving it out changes no answer; `--stats` counts the messages of the
 smaller tree.  `sens-param` reports the posterior of every variable, so it
-compiles the whole network, as `stats` and `dump-jtree` do.  `check` runs its
-engine on the requisite variables and its oracle on the whole network.
+compiles the whole network, as `stats` and `dump-jtree` do, but for its
+evidence (`build_junction_tree(net, evidence=evidence)`): the edges out of
+each variable a finding fixes at one state are cut, and `--stats` counts the
+messages of that tree.  It reads no family, so no read crosses a cut edge.
+`check` runs its engine on the requisite variables and its oracle on the
+whole network.
 
 `sens-out` reads the lines of every CPT entry of the relevant variables as
 arrays (`oneway.one_output_lines`) and builds no `ParameterRef` per row.
@@ -387,7 +391,7 @@ def _run_sens_param(args) -> int:
     if len(refs) != 1:
         raise _UsageError("sens-param analyzes exactly one parameter")
     ref = refs[0]
-    tree = build_junction_tree(net)
+    tree = build_junction_tree(net, evidence=evidence)
     analysis = all_outputs_one_param(tree, ref, evidence)
     labels = [f"{_quoted(var.name)},{_quoted(state)}"
               for var in net.variables for state in var.states]

@@ -41,6 +41,16 @@ built on the first read, finds that holder.  A read that leaves a CPT out
 goes to the clique that CPT is assigned to (`read_clique`), whatever the
 cheapest holder of its family.
 
+A tree compiled for evidence (`build_junction_tree(net, evidence=...)`) cuts
+the edges out of each fixed variable, one whose finding leaves one state
+possible, before moralizing (Darwiche, *Modeling and Reasoning with Bayesian
+Networks*, 2009, §6.9).  Its children's CPTs enter the plans as views at its
+state (`cpt_table`), over their `family` without it; it keeps its own CPT
+and finding, so every marginal and p(e) keep their meaning.  Such a tree
+takes only evidence that fixes the same variables at the same states
+(`propagation.enter_evidence`), and reads no family across a cut edge
+(`require_uncut`).
+
 An inward or directed outward pass leaves only part of the tree current; the
 tree records that region (`current`, `pass_root`), and `joint` and
 `read_clique` raise `BnsenseError` outside it rather than read a message
@@ -84,8 +94,8 @@ PLAN_ABOVE_ENTRIES = 4096
 UNPLANNED_MAX_FACTORS = 30
 
 # In an outward pass, the children of a clique above PLAN_ABOVE_ENTRIES whose
-# sepsets have at most 1/SHARED_SEPSET_RATIO of its entries share one
-# contraction of its factors (`send_outward`) when there are two or more.
+# sepsets have at most 1/SHARED_SEPSET_RATIO of its entries may share one
+# contraction of its factors (`send_outward`).
 SHARED_SEPSET_RATIO = 20
 
 
@@ -119,12 +129,25 @@ class PropagationStats:
 # graph steps
 
 
-def moralize(net: Network, variables) -> dict[int, set[int]]:
+def fixed_states(findings) -> dict[int, int]:
+    """{variable: state} for each (variable, vector) finding that leaves one
+    state possible: a hard finding, or a negative one on a binary variable."""
+    nonzero = [(var, np.flatnonzero(vec)) for var, vec in findings]
+    return {var: int(states[0]) for var, states in nonzero if len(states) == 1}
+
+
+def cut_family(net: Network, var: int, fixed=()) -> tuple[int, ...]:
+    """The variable's family without its `fixed` parents, sorted by id."""
+    return tuple(sorted((var, *(p for p in net.parents[var] if p not in fixed))))
+
+
+def moralize(net: Network, variables, fixed=()) -> dict[int, set[int]]:
     """Undirected adjacency over `variables`, which hold every parent of
-    their members: each family becomes a complete subgraph."""
+    their members: each family without its `fixed` parents (`cut_family`)
+    becomes a complete subgraph, so no edge leaves a fixed variable."""
     adj: dict[int, set[int]] = {v: set() for v in variables}
     for v in variables:
-        fam = (v,) + net.parents[v]
+        fam = cut_family(net, v, fixed)
         for a in fam:
             for b in fam:
                 if a != b:
@@ -280,11 +303,15 @@ def _merge_same_scope(operands):
 
 
 class JunctionTree:
-    def __init__(self, net: Network, members: list[tuple[int, ...]], sepsets: list[Sepset]):
+    def __init__(self, net: Network, members: list[tuple[int, ...]], sepsets: list[Sepset],
+                 fixed: dict[int, int] | None = None):
         """The tree over cliques with these sorted `members` (clique id = list
-        index) and `sepsets`.  Each compiled variable's CPT is assigned to the
-        lowest-id clique that holds its family (`clique_containing`)."""
+        index) and `sepsets`, with the edges out of the `fixed` variables
+        ({variable: state}) cut.  Each compiled variable's CPT is assigned
+        to the lowest-id clique that holds its `family` (`clique_containing`)."""
         self.net = net
+        self.fixed = fixed or {}
+        self._cut = {c for f in self.fixed for c in net.children(f)}   # whose family is cut
         self.sepsets = sepsets
         self.neighbors: dict[int, list[tuple[int, int]]] = {cid: [] for cid in range(len(members))}
         for s_idx, sep in enumerate(sepsets):
@@ -298,7 +325,7 @@ class JunctionTree:
         self._member_sets = [frozenset(mem) for mem in members]
         self.var_clique: dict[int, int] = {v: ids[0] for v, ids in enumerate(self._holding)
                                            if ids}
-        self.family_clique = {v: self.clique_containing(net.family(v)) for v in self.var_clique}
+        self.family_clique = {v: self.clique_containing(self.family(v)) for v in self.var_clique}
         families: list[list[int]] = [[] for _ in members]
         for v, cid in self.family_clique.items():
             families[cid].append(v)
@@ -355,11 +382,36 @@ class JunctionTree:
         is_clique, idx = self.holder(vars)
         return (idx,) if is_clique else self.sepsets[idx].cliques
 
+    def family(self, var: int) -> tuple[int, ...]:
+        """The axes of the variable's CPT in this tree: its family without
+        its fixed parents, sorted by id."""
+        return cut_family(self.net, var, self.fixed) if var in self._cut else self.net.family(var)
+
+    def cpt_table(self, var: int) -> np.ndarray:
+        """A view of the variable's CPT over `family(var)`: its family table
+        (`family_table`) at its fixed parents' states."""
+        table = family_table(self.net, var)
+        if var in self._cut:
+            table = table[tuple(self.fixed[v] if v != var and v in self.fixed else slice(None)
+                                for v in self.net.family(var))]
+        return table
+
+    def require_uncut(self, variables) -> None:
+        """Raise BnsenseError if one of the variables has a fixed parent,
+        whose edge to it is cut: its family cannot be read here."""
+        for var in variables if self._cut else ():
+            if var in self._cut:
+                p = next(p for p in self.net.parents[var] if p in self.fixed)
+                name = self.net.variables[var].name
+                raise BnsenseError(
+                    f"this tree cut the edge from fixed {self.net.variables[p].name!r} "
+                    f"to {name!r}; read {name!r}'s family on a tree compiled without evidence")
+
     def charge(self, cid: int) -> Potential:
         """Evidence-free product of the CPTs assigned to the clique, as a dense table."""
         pot = Potential.ones(self.net, self.cliques[cid].members)
         for v in self.cliques[cid].families:
-            pot = pot.multiply(Potential.from_cpt(self.net, v))
+            pot = pot.multiply(Potential(self.family(v), self.cpt_table(v)))
         return pot
 
     def set_parameter(self, ref: ParameterRef, x: float) -> None:
@@ -399,7 +451,7 @@ class JunctionTree:
         families = self.cliques[cid].families
         plan = self._plans[cid] = (
             axis, (1 << len(axis)) - 1,
-            [(v, family_table(self.net, v), *axes(self.net.family(v))) for v in families],
+            [(v, self.cpt_table(v), *axes(self.family(v))) for v in families],
             [(v, [axis[v]], 1 << axis[v]) for v in families],
             {nb: axes(self.sepsets[s].members) for nb, s in self.neighbors[cid]})
         return plan
@@ -454,16 +506,18 @@ class JunctionTree:
         """Send each clique of `dsts`, in BFS order, the message from its
         `parent`, as `send` does.
 
-        On a clique above PLAN_ABOVE_ENTRIES, two or more children whose
-        sepsets have at most 1/SHARED_SEPSET_RATIO of its entries (the first
+        On a clique C above PLAN_ABOVE_ENTRIES, the k children whose sepsets
+        have at most 1/SHARED_SEPSET_RATIO of its entries (the first
         UNPLANNED_MAX_FACTORS of them, so that each message is one unplanned
         einsum call) share one contraction, as in Shenoy's binary join trees
-        (IJAR 1997): the clique's factors but those children's messages,
-        with ones for any member only those messages covered, are summed
-        once onto U, the union of their sepsets.  Each of them then gets U's
-        table times the other shared children's messages, summed onto its
-        sepset by numpy's pairwise summation.  No division is needed, and
-        every message is counted in `stats` as sent from the whole clique.
+        (IJAR 1997), if k ≥ 2 and k·|U| ≤ |C| for U the union of their
+        sepsets; each shared message costs a pass over U.  The clique's
+        factors but those children's messages, with ones for any member only
+        those messages covered, are summed once onto U.  Each of them then
+        gets U's table times the other shared children's messages, summed
+        onto its sepset by numpy's pairwise summation.  No division is
+        needed, and every message is counted in `stats` as sent from the
+        whole clique.
         """
         run = None      # the large clique whose children, which come in one run, are being sent
         for dst in dsts:
@@ -476,7 +530,11 @@ class JunctionTree:
                 if len(shared) > 1:
                     seps = (self._plans[src] or self._plan(src))[4]
                     union = sorted({i for nb in shared for i in seps[nb][0]})
-                    table = self.contract(src, self._factors(src, shared, None), union)
+                    members = self.cliques[src].members
+                    if len(shared) * math.prod(self.net.arity(members[i]) for i in union) > size:
+                        shared = ()
+                    else:
+                        table = self.contract(src, self._factors(src, shared, None), union)
             if size <= PLAN_ABOVE_ENTRIES or len(shared) < 2 or dst not in shared:
                 self.send(src, dst)
                 continue
@@ -610,7 +668,7 @@ class JunctionTree:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def build_junction_tree(net: Network, requisite=None) -> JunctionTree:
+def build_junction_tree(net: Network, requisite=None, evidence=None) -> JunctionTree:
     """Moralize, triangulate, read the clique tree off the elimination order,
     and place each family in the lowest-id clique that holds it.
 
@@ -620,10 +678,17 @@ def build_junction_tree(net: Network, requisite=None) -> JunctionTree:
     no answer.  Ids stay the network's own, and every tie-break above is
     monotone in the id, so the tree is the one a network of the compiled
     variables alone would give.  No clique holds a variable left out.
+
+    Given `evidence`, the tree is compiled for it (module docstring): each
+    compiled variable whose finding leaves one state possible is fixed
+    (`fixed_states`), and the edges out of it are cut before moralizing.
     """
-    variables = range(net.n_variables) if requisite is None else sorted(net.ancestors(requisite))
+    compiled = None if requisite is None else net.ancestors(requisite)
+    variables = range(net.n_variables) if compiled is None else sorted(compiled)
     if not variables:
         raise NetworkFormatError("cannot build a junction tree with no variables")
-    adj = moralize(net, variables)
+    fixed = {} if evidence is None else fixed_states(
+        item for item in evidence.items() if compiled is None or item[0] in compiled)
+    adj = moralize(net, variables, fixed)
     order, fills = triangulate(adj, net.arities)
-    return JunctionTree(net, *_clique_tree(adj, order, fills))
+    return JunctionTree(net, *_clique_tree(adj, order, fills), fixed)

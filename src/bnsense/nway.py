@@ -101,6 +101,7 @@ def same_clique_nway(tree: JunctionTree, params: list[ParameterRef],
     net = tree.net
     _require_analyzable(net, params)
     require_compiled(tree, [ref.variable for ref in params])
+    tree.require_uncut([ref.variable for ref in params])
     needed = tuple(sorted({v for ref in params for v in net.family(ref.variable)}))
     home = tree.clique_containing(needed)
     if home is None:
@@ -275,6 +276,7 @@ def general_nway(tree: JunctionTree, params: list[ParameterRef],
     net = tree.net
     _require_analyzable(net, params)
     require_compiled(tree, [ref.variable for ref in params])
+    tree.require_uncut([ref.variable for ref in params])
     n = len(params)
     cap = 1 << n
     operating = np.array([net.parameter_value(ref) for ref in params])

@@ -166,7 +166,8 @@ def read_cliques(tree: JunctionTree, variables) -> set[int]:
 def _family_lines(tree: JunctionTree, variables, two_point: bool = False) -> np.ndarray:
     """Lines of the tree's current mass in every CPT entry of each variable.
 
-    Requires the cliques of `read_cliques` current.  One read per variable
+    Requires the cliques of `read_cliques` current, and no variable's family
+    cut on a tree compiled for evidence (`require_uncut`).  One read per variable
     gives `grad`, the derivative of p(e) in each CPT entry, as a (rows,
     states) array in CPT order; alike reads are stacked on a leading batch
     axis (module docstring).  A read along a greedy path
@@ -185,6 +186,7 @@ def _family_lines(tree: JunctionTree, variables, two_point: bool = False) -> np.
     """
     net = tree.net
     pe = evidence_probability(tree)
+    tree.require_uncut(variables)
     tree.require_current([tree.family_clique[var] for var in variables])
     offsets, size = _offsets(net, variables)
     groups: dict = {}

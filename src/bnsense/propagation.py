@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BnsenseError, ImpossibleEvidenceError
-from .jtree import JunctionTree, PropagationStats
+from .jtree import JunctionTree, PropagationStats, fixed_states
 from .network import Evidence, check_finding
 
 __all__ = ["PropagationStats", "require_compiled", "enter_finding", "enter_evidence",
@@ -65,12 +65,23 @@ def enter_finding(tree: JunctionTree, var: int, vector) -> None:
 
     The vector is attached at the variable's family clique and folded into
     message computation lazily; the tree needs a propagation afterwards.
-    A variable the tree does not compile raises `BnsenseError`.
+    A variable the tree does not compile, or a fixed one the vector does not
+    fix at its state, raises `BnsenseError`.
     """
     var, vec = check_finding(tree.net, var, vector)
     require_compiled(tree, (var,))
+    if var in tree.fixed and fixed_states([(var, vec)]).get(var) != tree.fixed[var]:
+        _not_fixed(tree, var)
     tree.findings[var] = vec
     tree.invalidate()
+
+
+def _not_fixed(tree: JunctionTree, var: int) -> None:
+    """Raise for a fixed variable of the tree that the findings do not fix at its state."""
+    variable = tree.net.variables[var]
+    raise BnsenseError(
+        f"this tree is compiled for evidence that fixes {variable.name!r} at "
+        f"{variable.states[tree.fixed[var]]!r}; other evidence on it needs another tree")
 
 
 def _bfs(tree: JunctionTree, root: int, reads: set[int] | None = None):
@@ -147,12 +158,16 @@ def distribute(tree: JunctionTree, root: int = 0, reads: set[int] | None = None)
 def enter_evidence(tree: JunctionTree, evidence: Evidence | None = None) -> None:
     """Reset the tree and register every finding of the evidence.
 
-    The tree needs a propagation afterwards.
+    On a tree compiled for evidence, the evidence must fix each of the
+    tree's fixed variables at its state, or `BnsenseError` is raised.  The
+    tree needs a propagation afterwards.
     """
     tree.reset()
     if evidence is not None:
         for var, vec in evidence.items():
             enter_finding(tree, var, vec)
+    for var in sorted(tree.fixed.keys() - tree.findings.keys()):
+        _not_fixed(tree, var)
 
 
 def require_possible(pe: float) -> float:
@@ -232,10 +247,13 @@ def retract_finding(tree: JunctionTree, var: int) -> None:
     The messages directed toward the finding's attachment clique never carried
     it, so replaying the outward half from that clique is enough — no inward
     propagation over the tree.  Raises ImpossibleEvidenceError if the retained
-    evidence has probability zero.
+    evidence has probability zero, and BnsenseError for a fixed variable of
+    a tree compiled for evidence.
     """
     if var not in tree.findings:
         raise BnsenseError(f"variable {var} has no finding to retract")
+    if var in tree.fixed:
+        _not_fixed(tree, var)
     _require_full(tree, "retraction")
     del tree.findings[var]
     home = tree.family_clique[var]

@@ -8,8 +8,10 @@ the workload's networks to a temporary directory and runs every call of one
 pass in process through `bnsense.cli.main` with `--stats`, the report going
 to stdout.  Per workload it prints the number of calls and the sha256 of
 their records: call kind, argv with the network paths templated, exit code,
-report and stderr.  Two checkouts give the same lines exactly when every
-call gives the same report, `--stats` line, stderr notes and exit code.
+report and stderr; then the same for the calls of each kind alone, one line
+per kind, so that a difference names the kinds that moved.  Two checkouts
+give the same lines exactly when every call gives the same report,
+`--stats` line, stderr notes and exit code.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from pathlib import Path
 ROOT = Path.cwd()
 
 
-def digest(main, workloads, name: str, seed: int) -> tuple[int, str]:
-    """(calls, sha256 of their records) for one pass of one workload."""
+def digest(main, workloads, name: str, seed: int) -> dict[str, tuple[int, str]]:
+    """{"": (calls, sha256 of their records)} for one pass of one workload,
+    and the same under each call kind for the calls of that kind."""
     wl = workloads.GENERATORS[name](seed)
-    h = hashlib.sha256()
+    hashes: dict[str, list] = {"": [0, hashlib.sha256()]}
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, model in enumerate(wl.models):
@@ -42,8 +45,12 @@ def digest(main, workloads, name: str, seed: int) -> tuple[int, str]:
                 code = main(workloads.argv(call, model, paths[call.net]) + ["--stats"])
             record = [call.kind, workloads.argv(call, model, f"NET{call.net}"), code,
                       out.getvalue(), err.getvalue()]
-            h.update(json.dumps(record).encode("utf-8") + b"\n")
-    return len(wl.calls), h.hexdigest()
+            line = json.dumps(record).encode("utf-8") + b"\n"
+            for key in ("", call.kind):
+                count_and_hash = hashes.setdefault(key, [0, hashlib.sha256()])
+                count_and_hash[0] += 1
+                count_and_hash[1].update(line)
+    return {key: (calls, h.hexdigest()) for key, (calls, h) in hashes.items()}
 
 
 def main(argv=None) -> int:
@@ -59,8 +66,8 @@ def main(argv=None) -> int:
 
     for seed in args.seeds:
         for name in workloads.GENERATORS:
-            calls, sha = digest(cli_main, workloads, name, seed)
-            print(f"seed {seed} {name} calls {calls} sha256 {sha}")
+            for kind, (calls, sha) in digest(cli_main, workloads, name, seed).items():
+                print(f"seed {seed} {name}{kind and ' ' + kind} calls {calls} sha256 {sha}")
     return 0
 
 
