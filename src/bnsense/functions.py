@@ -16,6 +16,8 @@ import numpy as np
 from .errors import UndefinedPointError
 from .network import ParameterRef
 
+_SMALLEST_NORMAL, _LARGEST = np.finfo(float).tiny, np.finfo(float).max
+
 
 @dataclass(frozen=True)
 class LinearCoeffs:
@@ -45,7 +47,13 @@ class SensitivityFunction:
 def at_point(coefficients, x) -> tuple[np.ndarray, np.ndarray]:
     """Value and derivative at x (one, or one per row) of each row of
     `SensitivityFunction.coefficients`; raises UndefinedPointError at the
-    first row whose denominator is not positive."""
+    first row whose denominator is not positive.
+
+    The derivative is (αδ − βγ)/den², except where den² is not a normal
+    float (den below about 1e-154): there the products lose their digits
+    with it, and from about 1e-162 on the quotient is 0/0.  It is then
+    (α/den)(δ/den) − (β/den)(γ/den), whose factors are posterior-sized.
+    """
     alpha, beta, gamma, delta = np.asarray(coefficients, dtype=float).T
     den = gamma * x + delta
     bad = np.flatnonzero(~(den > 0))
@@ -53,7 +61,14 @@ def at_point(coefficients, x) -> tuple[np.ndarray, np.ndarray]:
         raise UndefinedPointError(f"denominator {float(den[bad[0]])!r} at "
                                   f"x={float(np.broadcast_to(x, den.shape)[bad[0]])!r} "
                                   "is not positive")
-    return (alpha * x + beta) / den, (alpha * delta - beta * gamma) / (den * den)
+    value = (alpha * x + beta) / den
+    square = den * den
+    normal = (square >= _SMALLEST_NORMAL) & (square <= _LARGEST)
+    if normal.all():
+        return value, (alpha * delta - beta * gamma) / square
+    with np.errstate(divide="ignore", invalid="ignore"):    # in rows that are not `normal`
+        return value, np.where(normal, (alpha * delta - beta * gamma) / square,
+                               (alpha / den) * (delta / den) - (beta / den) * (gamma / den))
 
 
 def evaluate(sf: SensitivityFunction, x: float) -> float:

@@ -5,8 +5,13 @@ weighted minimum fill (a fill edge costs the product of its ends' arities;
 lowest variable id on ties), then read the maximal cliques and a clique tree
 joining them off the elimination order in one backward pass.  Weighting the
 fill keeps the total clique state space small when arities are mixed; with
-one arity throughout the order is plain min-fill's.  A disconnected network
-still compiles to one tree: its parts are joined by empty sepsets.  Every
+one arity throughout the order is plain min-fill's.  A tree with a clique
+above PLAN_ABOVE_ENTRIES costs more to propagate than the rest of the
+compile put together, so there the compiler also tries the fill-count
+order, keeps the one with fewer total clique entries, and hangs each clique
+on its smallest valid parent (`_cheaper_walk`); every other tree is the
+weighted order's, on the walk's parents.  A disconnected network still
+compiles to one tree: its parts are joined by empty sepsets.  Every
 tie-break is fixed so that identical networks always produce identical
 trees.
 
@@ -83,7 +88,9 @@ from .potentials import Potential, family_table
 # (clique, factor axes, kept axes) key within one tree, so a per-tree cache
 # of plans would not be hit.  Smaller cliques go through a single unplanned
 # einsum call: that costs about 7 us, against about 200 us for planning and
-# running a path, which would dominate small networks.
+# running a path, which would dominate small networks.  A tree with such a
+# clique is also worth more compile work: `build_junction_tree` then tries a
+# second elimination order and picks each clique's parent (`_cheaper_walk`).
 PLAN_ABOVE_ENTRIES = 4096
 
 # A single einsum call takes fewer than NPY_MAXARGS operands (32 on numpy 1.x,
@@ -167,7 +174,12 @@ def triangulate(adj: dict[int, set[int]],
     small total state space*, Aalborg R-90-09, 1990); when every vertex has
     the same arity k the score is k² times the fill count, so the order is
     plain min-fill's.  Ties go to the lowest variable id, making the order
-    (and everything downstream) deterministic.
+    (and everything downstream) deterministic.  With every arity raised by
+    K = n²·A² (n vertices, A the largest arity; `fill_first`), the score is
+    K² times the fill count, plus K times the missing pairs' arity sums,
+    plus the weighted fill, each term below the unit of the one before: the
+    order is then min-fill's with the arities only breaking ties, the
+    second order `_cheaper_walk` tries.
 
     Scores sit in a heap of (score, id) entries, invalidated lazily.  Each
     vertex's score is kept up to date along with the arity sum of its
@@ -216,24 +228,25 @@ def triangulate(adj: dict[int, set[int]],
     return tuple(order), fills
 
 
-def _clique_tree(adj: dict[int, set[int]], order: tuple[int, ...],
-                 fills: set[frozenset[int]]) -> tuple[list[tuple[int, ...]], list[Sepset]]:
-    """Maximal cliques of the triangulated graph, sorted lexicographically,
-    and the clique tree the elimination order gives them.
+def _elimination_cliques(adj: dict[int, set[int]], order: tuple[int, ...],
+                         fills: set[frozenset[int]]) -> tuple[list[list[int]], list[int],
+                                                              list[set[int]]]:
+    """Maximal cliques of the triangulated graph in the order a backward walk
+    of the elimination order opens them, with each one's parent and
+    separator: (members, parent, separator) by order of opening.
 
     Walking the order backwards, each vertex v either joins a clique or
     opens one (Blair & Peyton, *An introduction to chordal graphs and
     clique trees*, 1993).  With no later-eliminated neighbour, v opens the
-    root clique of its part of the graph.  Otherwise let p be the earliest
-    eliminated of v's later neighbours: they all lie in the clique that owns
-    p, and if they are that whole clique, v joins it; if not, v opens a new
-    clique whose parent is p's, with v's later neighbours as the sepset.
+    root clique of its part of the graph, its own parent, with an empty
+    separator.  Otherwise let p be the earliest eliminated of v's later
+    neighbours: they all lie in the clique that owns p, and if they are
+    that whole clique, v joins it; if not, v opens a new clique whose parent
+    is p's, with v's later neighbours as the separator.  That separator is
+    everything the new clique shares with the cliques opened before it, so
+    any of them that holds it would do as the parent (`_smallest_parents`).
     Every vertex's owner is fixed when it is placed, so the walk is linear
-    in the edges of the triangulated graph.  Each part of a disconnected
-    graph but clique 0's is joined to clique 0 through its lowest clique by
-    an empty sepset (Jensen & Jensen, *Optimal junction trees*, UAI 1994),
-    whose messages are the scalar masses of the two sides.  Sepsets are
-    listed by their clique-id pairs.
+    in the edges of the triangulated graph.
     """
     position = {v: i for i, v in enumerate(order)}
     later: dict[int, set[int]] = {v: {a for a in ns if position[a] > position[v]}
@@ -241,7 +254,7 @@ def _clique_tree(adj: dict[int, set[int]], order: tuple[int, ...],
     for edge in fills:
         a, b = sorted(edge, key=position.__getitem__)
         later[a].add(b)
-    members: list[list[int]] = []       # by order of opening
+    members: list[list[int]] = []
     parent: list[int] = []              # the clique's own index at a root
     separator: list[set[int]] = []
     owner: dict[int, int] = {}
@@ -259,6 +272,47 @@ def _clique_tree(adj: dict[int, set[int]], order: tuple[int, ...],
         members.append([v, *up])
         parent.append(home)
         separator.append(up)
+    return members, parent, separator
+
+
+def _smallest_parents(members: list[list[int]], parent: list[int], separator: list[set[int]],
+                      sizes: list[int]) -> list[int]:
+    """Each clique's parent moved to the smallest clique opened before it
+    that holds its nonempty separator; ties keep the parent the walk gave
+    (`_elimination_cliques`), then go to the earliest opened.
+
+    Running intersection still holds, since the separator is all the clique
+    shares with the cliques opened before it.  A full propagation touches
+    |a| + |b| entries per sepset between cliques a and b, and each clique's
+    edge to its parent is chosen apart from the others', so these parents
+    give the cheapest tree over this order of opening.
+    """
+    holding: dict[int, list[int]] = {}  # variable -> cliques holding it, by order of opening
+    for c, mem in enumerate(members):
+        for v in mem:
+            holding.setdefault(v, []).append(c)
+    parent = parent[:]
+    for c, sep in enumerate(separator):
+        if not sep:
+            continue
+        for j in holding[min(sep, key=lambda v: len(holding[v]))]:
+            if j >= c:
+                break
+            if sizes[j] < sizes[parent[c]] and sep.issubset(members[j]):
+                parent[c] = j
+    return parent
+
+
+def _clique_tree(members: list[list[int]], parent: list[int],
+                 separator: list[set[int]]) -> tuple[list[tuple[int, ...]], list[Sepset]]:
+    """The cliques opened by `_elimination_cliques`, sorted lexicographically
+    and renumbered, and the sepsets joining each one to its parent.
+
+    Each part of a disconnected graph but clique 0's is joined to clique 0
+    through its lowest clique by an empty sepset (Jensen & Jensen, *Optimal
+    junction trees*, UAI 1994), whose messages are the scalar masses of the
+    two sides.  Sepsets are listed by their clique-id pairs.
+    """
     cliques = [tuple(sorted(mem)) for mem in members]
     rank = sorted(range(len(cliques)), key=cliques.__getitem__)
     new_id = [0] * len(cliques)
@@ -668,9 +722,42 @@ class JunctionTree:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def fill_first(arities: Sequence[int], n: int) -> list[int]:
+    """`arities` raised so that `triangulate` over n vertices orders by fill
+    count first, the arities only breaking ties (see there): each by n²·A²,
+    for A the largest of them."""
+    shift = n * n * max(arities) ** 2
+    return [a + shift for a in arities]
+
+
+def _cheaper_walk(net: Network, adj: dict[int, set[int]], walk):
+    """The walk (`_elimination_cliques`) of a cheaper tree, if the weighted
+    order's `walk` has a clique above PLAN_ABOVE_ENTRIES.
+
+    The graph is then also eliminated by fill count first (`fill_first`).
+    Neither greedy order dominates the other (Kjærulff 1990, cited at
+    `triangulate`); the one whose cliques have fewer total entries is kept,
+    the weighted one on a tie.  Each clique is then hung on its smallest
+    valid parent (`_smallest_parents`).
+    """
+    def entries(members):
+        return [math.prod(map(net.arities.__getitem__, mem)) for mem in members]
+    sizes = entries(walk[0])
+    if max(sizes) <= PLAN_ABOVE_ENTRIES:
+        return walk
+    other = _elimination_cliques(adj, *triangulate(adj, fill_first(net.arities, len(adj))))
+    other_sizes = entries(other[0])
+    if sum(other_sizes) < sum(sizes):
+        walk, sizes = other, other_sizes
+    members, parent, separator = walk
+    return members, _smallest_parents(members, parent, separator, sizes), separator
+
+
 def build_junction_tree(net: Network, requisite=None, evidence=None) -> JunctionTree:
-    """Moralize, triangulate, read the clique tree off the elimination order,
-    and place each family in the lowest-id clique that holds it.
+    """Moralize, triangulate, read the clique tree off the elimination order
+    (with `_cheaper_walk`'s two choices where a clique is above
+    PLAN_ABOVE_ENTRIES), and place each family in the lowest-id clique that
+    holds it.
 
     Compiles every variable when `requisite` is None, else the variable ids
     in `requisite` and their ancestors (`Network.ancestors`): every other
@@ -690,5 +777,7 @@ def build_junction_tree(net: Network, requisite=None, evidence=None) -> Junction
     fixed = {} if evidence is None else fixed_states(
         item for item in evidence.items() if compiled is None or item[0] in compiled)
     adj = moralize(net, variables, fixed)
-    order, fills = triangulate(adj, net.arities)
-    return JunctionTree(net, *_clique_tree(adj, order, fills), fixed)
+    walk = _elimination_cliques(adj, *triangulate(adj, net.arities))
+    if max(net.arities) ** max(map(len, walk[0])) > PLAN_ABOVE_ENTRIES:   # else none is large
+        walk = _cheaper_walk(net, adj, walk)
+    return JunctionTree(net, *_clique_tree(*walk), fixed)

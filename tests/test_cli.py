@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from bnsense import UndefinedPointError, cli
-from bnsense.functions import LinearCoeffs, SensitivityFunction, derivative, evaluate
+from bnsense.functions import (LinearCoeffs, SensitivityFunction, at_point, derivative,
+                               evaluate)
 from bnsense.cli import SENS_OUT_HEADER, _parser, _report, main
 
 R1 = "tests/fixtures/r1.json"
@@ -239,6 +240,58 @@ class TestSensParam:
         assert rc == 0
         assert out == SENS_PARAM_LEAF_GOLDEN
         assert err == "inward=1 outward=2 messages=2\n"
+
+
+class TestTinyEvidenceProbability:
+    """A uniform binary chain V0 -> ... -> V599 with V1..V599 = a: p(e) =
+    2^-599, whose square is below the smallest normal float.  Every
+    posterior is 0.5, and the line of V0=a in p(V0=a) is x itself, so its
+    derivative at x0 is exactly 1 (-1 for V0=b)."""
+
+    N = 600
+
+    @pytest.fixture
+    def chain(self, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(
+            {"variables": [{"name": f"V{i}", "states": ["a", "b"]} for i in range(self.N)],
+             "cpts": [{"variable": "V0", "parents": [], "rows": [[0.5, 0.5]]}]
+             + [{"variable": f"V{i}", "parents": [f"V{i - 1}"], "rows": [[0.5, 0.5]] * 2}
+                for i in range(1, self.N)]}))
+        return ["--net", str(path), "--evidence", ",".join(f"V{i}=a" for i in range(1, self.N))]
+
+    @staticmethod
+    def slopes(out):
+        """{first two columns: dy/dx at x0} of a report, every number finite."""
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert rows and all(np.isfinite(float(cell)) for row in rows for cell in row[-6:])
+        return {tuple(row[:2]): float(row[-1]) for row in rows}
+
+    @pytest.mark.parametrize("method", ["1", "2", "both"])
+    def test_sens_out(self, capsys, chain, method):
+        rc, out, err = run(capsys, "sens-out", *chain, "--target", "V0=a", "--method", method)
+        assert (rc, err) == (0, "")
+        slopes = self.slopes(out)
+        assert (slopes[("V0:a", "V0")], slopes[("V0:b", "V0")]) == (1.0, -1.0)
+
+    def test_rows_either_side_of_the_normal_range(self):
+        """Each row takes its own form: the plain quotient where den² is a
+        normal float, the scaled one where it is not."""
+        tiny = 2.0 ** -599
+        coefficients = [[0.3, 0.1, 0.2, 0.5], [tiny, 0.0, 0.0, tiny], [0.5 * tiny, 0.0, tiny, tiny],
+                        [0.3, 0.1, 0.2, 2.0 ** -80]]
+        value, slope = at_point(coefficients, np.array([0.5, 0.5, 0.5, 0.0]))
+        assert slope[0] == (0.3 * 0.5 - 0.1 * 0.2) / (0.6 * 0.6)
+        assert slope[3] == (0.3 * 2.0 ** -80 - 0.1 * 0.2) / (2.0 ** -80) ** 2
+        assert list(slope[1:3]) == [1.0, (0.5 / 1.5) * (1.0 / 1.5)]     # tiny = 2^-599 cancels
+        assert list(value[1:3]) == [0.5, 0.25 / 1.5]
+
+    def test_sens_param(self, capsys, chain):
+        rc, out, err = run(capsys, "sens-param", *chain, "--param", "V0:a")
+        assert (rc, err) == (0, "")
+        slopes = self.slopes(out)
+        assert (slopes[("V0", "a")], slopes[("V0", "b")]) == (1.0, -1.0)
+        assert all(slope == 0.0 for (var, _), slope in slopes.items() if var != "V0")
 
 
 class TestSensN:

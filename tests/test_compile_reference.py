@@ -22,13 +22,24 @@ Triangulation is weighted min-fill: a fill edge counts the product of its
 ends' arities.  Plain min-fill, which counts every fill edge as 1, is kept
 as a second reference: where all variables share one arity the weighted
 score is a constant multiple of the fill count, so the two orders agree.
+
+Where the weighted order gives a clique above PLAN_ABOVE_ENTRIES, the
+library also eliminates by fill count first, with arities only breaking
+ties, keeps whichever order's cliques have fewer total entries (the weighted
+one on a tie), and hangs each clique on the smallest clique opened before it
+that holds its separator.  The reference runs both eliminations by rescanning,
+finds the order the library's backward walk opens the cliques in from a
+closed characterization of that walk (`reference_walk`), and picks each
+parent by scanning every earlier clique; the sepsets must then be exactly
+the reference's, clique pairs included, as they must be on the walk's own
+parents everywhere else.
 """
 
 import numpy as np
 import pytest
 
 from bnsense import build_junction_tree
-from bnsense.jtree import Sepset, moralize, triangulate
+from bnsense.jtree import PLAN_ABOVE_ENTRIES, Sepset, fill_first, moralize, triangulate
 from bnsense.network import Network, Variable
 from bnsense.oneway import _influenced_variables
 from bnsense.oracle import random_network
@@ -82,6 +93,16 @@ def reference_min_fill(adj):
     return _reference_eliminate(adj, lambda work, v: len(_missing_pairs(work, v)))
 
 
+def reference_fill_first(adj, arities):
+    """Fill count first; ties to the lower sum of the missing pairs' arity
+    sums, then to the lower weighted fill, then to the lowest id."""
+    def score(work, v):
+        pairs = _missing_pairs(work, v)
+        return (len(pairs), sum(arities[a] + arities[b] for a, b in pairs),
+                sum(arities[a] * arities[b] for a, b in pairs))
+    return _reference_eliminate(adj, score)
+
+
 def reference_elimination_cliques(adj, order, fills):
     work = {v: set(ns) for v, ns in adj.items()}
     for edge in fills:
@@ -99,6 +120,75 @@ def reference_elimination_cliques(adj, order, fills):
         if not any(c < kept for kept in maximal):
             maximal.append(c)
     return sorted(tuple(sorted(c)) for c in maximal)
+
+
+def reference_walk(adj, order, fills):
+    """The cliques in the order the library's backward walk opens them:
+    (members, walk parent, separator) by order of opening.
+
+    With later(x) the neighbours of x eliminated after it in the
+    triangulated graph and C(x) = {x} ∪ later(x): walking the order
+    backwards, x joins the clique of the earliest eliminated p of later(x)
+    exactly when later(x) = C(p) and x is the latest eliminated vertex with
+    that later set; every other vertex opens a clique, C(x), whose separator
+    is later(x) and whose walk parent is the clique p is in.
+    """
+    position = {v: i for i, v in enumerate(order)}
+    work = {v: set(ns) for v, ns in adj.items()}
+    for edge in fills:
+        a, b = tuple(edge)
+        work[a].add(b)
+        work[b].add(a)
+    later = {v: {a for a in work[v] if position[a] > position[v]} for v in order}
+    with_later = {}
+    for x in order:
+        with_later.setdefault(frozenset(later[x]), []).append(x)
+    joins = {}
+    for p in order:
+        same = with_later.get(frozenset({p} | later[p]))
+        if same:
+            joins[same[-1]] = p
+    openers = [v for v in reversed(order) if v not in joins]
+    clique_of = {v: c for c, v in enumerate(openers)}
+    for v in reversed(order):
+        if v in joins:
+            clique_of[v] = clique_of[joins[v]]
+    members = [sorted(v for v in order if clique_of[v] == c) + sorted(later[opener])
+               for c, opener in enumerate(openers)]
+    parent = [clique_of[min(later[v], key=position.__getitem__)] if later[v] else c
+              for c, v in enumerate(openers)]
+    return members, parent, [later[v] for v in openers]
+
+
+def reference_smallest_parents(net, members, parent, separator):
+    """Each clique with a separator hung on the smallest earlier clique
+    holding it; ties to the walk parent, then to the earliest opened."""
+    def size(c):
+        return int(np.prod([net.arity(v) for v in members[c]]))
+    return [min((j for j in range(c) if separator[c] <= set(members[j])),
+                key=lambda j: (size(j), j != parent[c], j)) if separator[c] else c
+            for c in range(len(members))]
+
+
+def reference_sepsets(members, parent, separator):
+    """The sepsets of a walk's cliques under the given parents, with the
+    cliques numbered in lexicographic order; each part but clique 0's is
+    joined to clique 0 through its lowest clique by an empty sepset."""
+    order = sorted(range(len(members)), key=lambda c: sorted(members[c]))
+    new_id = {c: cid for cid, c in enumerate(order)}
+    uf = _UnionFind(len(members))
+    sepsets = []
+    for c, p in enumerate(parent):
+        if p != c:
+            uf.union(new_id[c], new_id[p])
+            sepsets.append(Sepset(tuple(sorted((new_id[c], new_id[p]))),
+                                  tuple(sorted(separator[c]))))
+    sepsets.extend(Sepset((0, j), ()) for j in range(1, len(members)) if uf.union(0, j))
+    return sorted(sepsets, key=lambda sep: sep.cliques)
+
+
+def entries(net, members):
+    return [int(np.prod([net.arity(v) for v in mem])) for mem in members]
 
 
 class _UnionFind:
@@ -251,8 +341,8 @@ def assert_clique_tree(cliques, sepsets):
 
 
 def assert_tree_matches_reference(net, reference_order=None):
-    """Same order, fills, cliques and families as the reference pipeline, and
-    a clique tree with the reference's separators.
+    """Same order, fills, cliques, families and sepsets as the reference
+    pipeline, and a clique tree with the Kruskal reference's separators.
 
     `reference_order` stands in for the reference triangulation where that is
     too slow to run; the caller then checks the order separately.
@@ -263,9 +353,21 @@ def assert_tree_matches_reference(net, reference_order=None):
         reference_order = reference_triangulate(adj, net.arities)
     assert (order, fills) == reference_order
     members = reference_elimination_cliques(adj, order, fills)
+    large = max(entries(net, members)) > PLAN_ABOVE_ENTRIES
+    if large:
+        other = reference_fill_first(adj, net.arities)
+        other_members = reference_elimination_cliques(adj, *other)
+        if sum(entries(net, other_members)) < sum(entries(net, members)):
+            order, fills = other
+            members = other_members
+    walk = reference_walk(adj, order, fills)
+    assert sorted(tuple(sorted(mem)) for mem in walk[0]) == members
+    if large:
+        walk = walk[0], reference_smallest_parents(net, *walk), walk[2]
     tree = build_junction_tree(net)
     assert [c.members for c in tree.cliques] == members
     assert_clique_tree(members, tree.sepsets)
+    assert tree.sepsets == reference_sepsets(*walk)
     assert tree.sepsets == sorted(tree.sepsets, key=lambda sep: sep.cliques)
     reference = reference_spanning_sepsets(net, members)
     assert sorted(sep.members for sep in tree.sepsets) == sorted(sep.members for sep in reference)
@@ -355,19 +457,40 @@ class TestMixedArities:
             adj = moralize(net, range(n))
             assert triangulate(adj, net.arities) == reference_min_fill(adj)
 
+    def test_fill_first_order(self):
+        """The raised arities make the order min-fill's, ties to the lower
+        arity sums, then to the lower weighted fill, then to the lowest id."""
+        rng = np.random.default_rng(39)
+        for _ in range(60):
+            net = random_network(rng, n_vars=int(rng.integers(4, 30)), max_states=5,
+                                 max_parents=int(rng.integers(1, 6)),
+                                 connected=bool(rng.integers(2)))
+            adj = moralize(net, range(net.n_variables))
+            assert (triangulate(adj, fill_first(net.arities, len(adj)))
+                    == reference_fill_first(adj, net.arities))
+
+    def test_tied_totals_keep_the_weighted_order(self):
+        """Both orders give 6,000 entries over different cliques."""
+        rng = np.random.default_rng(832)
+        net = random_network(rng, n_vars=int(rng.integers(6, 16)), max_states=5, max_parents=3)
+        adj = moralize(net, range(net.n_variables))
+        weighted = reference_elimination_cliques(adj, *reference_triangulate(adj, net.arities))
+        other = reference_elimination_cliques(adj, *reference_fill_first(adj, net.arities))
+        assert sum(entries(net, weighted)) == sum(entries(net, other)) == 6000
+        assert weighted != other
+        assert max(entries(net, weighted)) > PLAN_ABOVE_ENTRIES
+        tree = assert_tree_matches_reference(net)
+        assert [c.members for c in tree.cliques] == weighted
+
     def test_wide_clique_dag(self):
         """The benchmark's wide-clique DAG: weighted fill halves the clique state space."""
         net = random_network(np.random.default_rng(4), n_vars=130, max_states=3,
                              max_parents=2)
         tree = assert_tree_matches_reference(net)
-
-        def entries(members):
-            return [int(np.prod([net.arity(v) for v in mem])) for mem in members]
-
-        weighted = entries(c.members for c in tree.cliques)
+        weighted = entries(net, (c.members for c in tree.cliques))
         assert (max(weighted), sum(weighted)) == (1_259_712, 4_186_061)
         adj = moralize(net, range(net.n_variables))
-        plain = entries(reference_elimination_cliques(adj, *reference_min_fill(adj)))
+        plain = entries(net, reference_elimination_cliques(adj, *reference_min_fill(adj)))
         assert (max(plain), sum(plain)) == (1_889_568, 9_311_561)
 
     def test_with_cpt_keeps_structure(self):

@@ -29,8 +29,8 @@ from bnsense.propagation import _bfs, collect, distribute, propagate_full
 WORKLOADS = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
 
 
-def wide_clique(seed):
-    """The benchmark's wide-clique network and findings for one workload seed."""
+def load_workloads():
+    """The benchmark's benchmarks/workloads.py, as a module."""
     spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules["workloads"] = workloads   # its dataclasses look their module up
@@ -38,6 +38,12 @@ def wide_clique(seed):
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules["workloads"]
+    return workloads
+
+
+def wide_clique(seed):
+    """The benchmark's wide-clique network and findings for one workload seed."""
+    workloads = load_workloads()
     net = load_network(json.loads(json.dumps(workloads.wide_clique(seed).models[0].to_doc())))
     evidence = Evidence(net)
     for i, var in enumerate(workloads.WIDE_FINDINGS):
@@ -127,11 +133,34 @@ def test_random_networks_with_large_cliques():
     assert checked >= 10
 
 
+def hub_clique_network():
+    """V1..V6 (5 states each) all joined, V0 a parent of V1, and a binary
+    leaf Wi under each of V2..V5, with random rows: cliques (V0,V1),
+    (V1,...,V6) and (Vi,Wi).  The 15,625-entry clique is the only holder of
+    the leaves' sepsets (Vi), whose union (V2,...,V5) has 625 entries."""
+    parents = {"V0": [], "V1": ["V0"], **{f"V{i}": [f"V{j}" for j in range(1, i)]
+                                          for i in range(2, 7)},
+               **{f"W{i}": [f"V{i}"] for i in range(2, 6)}}
+    arities = {name: 2 if name[0] == "W" or name == "V0" else 5 for name in parents}
+    rng = np.random.default_rng(6)
+    return load_network({
+        "variables": [{"name": n, "states": [f"s{i}" for i in range(k)]}
+                      for n, k in arities.items()],
+        "cpts": [{"variable": n, "parents": ps,
+                  "rows": rng.dirichlet(np.ones(arities[n]),
+                                        size=math.prod(arities[p] for p in ps)).tolist()}
+                 for n, ps in parents.items()]})
+
+
 def test_directed_pass_shares_among_the_children_it_reaches(monkeypatch):
-    net, evidence = wide_clique(1)
+    net = hub_clique_network()
+    evidence = Evidence(net).set_hard("V0", "s1").set_hard("W2", "s0").set_hard("W5", "s1")
     tree = build_junction_tree(net)
+    assert [c.members for c in tree.cliques] == [
+        (0, 1), (1, 2, 3, 4, 5, 6), (2, 7), (3, 8), (4, 9), (5, 10)]
     shared = shared_children(tree)
-    src = max(shared, key=lambda cid: len(shared[cid]))
+    assert shared == {1: [2, 3, 4, 5]}
+    src = 1
     reached = shared[src][:3]
     assert len(shared[src]) > len(reached)
     propagate_full(tree, evidence)
